@@ -9,7 +9,7 @@ use std::hint::black_box;
 
 use fabricsim_bench::microbench::Runner;
 use fabricsim_crypto::{sha256, KeyPair, MerkleTree};
-use fabricsim_des::{Kernel, ShardWorld, ShardedKernel, SimDuration, SimTime, Station};
+use fabricsim_des::{Kernel, SimDuration, SimTime, Station};
 use fabricsim_kafka::{Broker, BrokerMsg, KafkaConfig, Record};
 use fabricsim_ledger::Ledger;
 use fabricsim_policy::Policy;
@@ -281,7 +281,7 @@ fn bench_des_kernel(r: &mut Runner) {
     });
 }
 
-fn bench_sharded_kernel(r: &mut Runner) {
+fn bench_des_heap(r: &mut Runner) {
     // Heap schedule/pop throughput under a worst-case (scattered) insertion
     // order — every push percolates instead of appending in time order.
     r.bench("des/heap_schedule_pop_scattered_32k", || {
@@ -313,24 +313,7 @@ fn bench_sharded_kernel(r: &mut Runner) {
         k.run(&mut count);
         assert_eq!(count, 10_000);
     });
-
-    // Serial monolithic kernel vs the sharded kernel on the same event load:
-    // one 40k-event heap against four 10k-event heaps advanced in
-    // conservative windows (1 ms lookahead, ~10 windows). The 1-worker pair
-    // isolates the window/barrier bookkeeping cost; the 4-worker variant
-    // additionally shows thread-level scaling on multicore hosts.
-    #[derive(Default)]
-    struct Tick {
-        count: u64,
-        out: Vec<(usize, SimTime, ())>,
-    }
-    impl ShardWorld for Tick {
-        type Msg = ();
-        fn drain_outbox(&mut self) -> Vec<(usize, SimTime, ())> {
-            std::mem::take(&mut self.out)
-        }
-        fn deliver(&mut self, _kernel: &mut Kernel<Self>, _at: SimTime, (): ()) {}
-    }
+    // In-order schedule/run throughput on one 40k-event heap.
     r.bench("des/serial_kernel_40k_events", || {
         let mut k: Kernel<u64> = Kernel::new();
         let mut count = 0u64;
@@ -340,23 +323,6 @@ fn bench_sharded_kernel(r: &mut Runner) {
         k.run(&mut count);
         assert_eq!(count, 40_000);
     });
-    let sharded = |workers: usize| {
-        let mut sk: ShardedKernel<Tick> = ShardedKernel::new(SimDuration::from_millis(1));
-        for _ in 0..4 {
-            let mut k = Kernel::new();
-            for i in 0..10_000u64 {
-                k.schedule(SimTime::from_nanos(i * 1_000), |w: &mut Tick, _| {
-                    w.count += 1;
-                });
-            }
-            sk.push_shard(k, Tick::default());
-        }
-        let report = sk.run(workers);
-        assert_eq!(report.stats.executed, 40_000);
-        report
-    };
-    r.bench("des/sharded_4x10k_events_1worker", || sharded(1));
-    r.bench("des/sharded_4x10k_events_4workers", || sharded(4));
 }
 
 fn main() {
@@ -369,5 +335,5 @@ fn main() {
     bench_raft(&mut r);
     bench_kafka(&mut r);
     bench_des_kernel(&mut r);
-    bench_sharded_kernel(&mut r);
+    bench_des_heap(&mut r);
 }

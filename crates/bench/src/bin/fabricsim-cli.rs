@@ -68,9 +68,6 @@
 //!   --batch-timeout MS               BatchTimeout (default 1000)
 //!   --osns COUNT                     ordering nodes (default 3)
 //!   --channels COUNT                 independent channels (default 1)
-//!   --sim-workers COUNT              run the sharded DES engine (one event
-//!                                    loop per channel) on COUNT worker
-//!                                    threads; 0 = serial engine (default)
 //!   --validator-pool COUNT           VSCC worker-pool width per committer (default 1)
 //!   --brokers COUNT / --zk COUNT     kafka substrate sizes (default 3)
 //!   --workload kvput|rmw|transfer|smallbank   (default kvput)
@@ -122,9 +119,7 @@ use fabricsim_bench::perf;
 fn usage() -> ! {
     eprintln!("usage: fabricsim [--orderer solo|kafka|raft] [--peers N] [--policy OR10|AND5|...]");
     eprintln!("                 [--rate TPS] [--duration S] [--batch-size N] [--batch-timeout MS]");
-    eprintln!(
-        "                 [--osns N] [--channels N] [--sim-workers N] [--brokers N] [--zk N]"
-    );
+    eprintln!("                 [--osns N] [--channels N] [--brokers N] [--zk N]");
     eprintln!("                 [--validator-pool N]");
     eprintln!("                 [--workload kvput|rmw|transfer|smallbank]");
     eprintln!("                 [--payload BYTES] [--seed N] [--csv] [--json]");
@@ -596,7 +591,6 @@ fn apply_deploy_flag(
         }
         "--osns" => cfg.osn_count = value().parse().unwrap_or_else(|_| usage()),
         "--channels" => cfg.channels = value().parse().unwrap_or_else(|_| usage()),
-        "--sim-workers" => cfg.sim_workers = value().parse().unwrap_or_else(|_| usage()),
         "--validator-pool" => {
             cfg.cost.validator_pool_size = value().parse().unwrap_or_else(|_| usage())
         }
@@ -727,18 +721,15 @@ fn cmd_profile(args: &[String]) -> ! {
         }
         eprintln!("wrote kernel profile exposition {path}");
     }
-    let shards = &result.observability.shard_profiles;
     let s = &result.summary;
     if json {
         // Provenance rides along so `fabricsim diff` can refuse to compare
         // profiles from different configurations.
-        let per_shard: Vec<String> = shards.iter().map(KernelProfile::to_json).collect();
         println!(
-            "{{\"seed\":{},\"config_digest\":\"{}\",\"merged\":{},\"shards\":[{}]}}",
+            "{{\"seed\":{},\"config_digest\":\"{}\",\"merged\":{}}}",
             s.seed,
             s.config_digest,
-            profile.to_json(),
-            per_shard.join(",")
+            profile.to_json()
         );
     } else {
         println!("== {label}: kernel self-profile ==");
@@ -747,10 +738,6 @@ fn cmd_profile(args: &[String]) -> ! {
             s.seed, s.config_digest
         );
         print!("{}", profile.render_table());
-        for (s, p) in shards.iter().enumerate() {
-            println!("-- shard {s} --");
-            print!("{}", p.render_table());
-        }
         println!(
             "accounting : attributed {:.3} ms vs loop {:.3} ms ({} committed tx at {:.1} tps)",
             profile.attributed_ns() as f64 / 1e6,

@@ -24,7 +24,7 @@
 //! baseline recorded on a fast CI runner doesn't flag a slower laptop (and
 //! vice versa). Runs cheaper than [`WALL_FLOOR_MS`] are never compared on
 //! wall clock at all — they are dominated by noise. Every check that is
-//! skipped (sub-floor, oversubscribed workers) is listed in
+//! skipped (sub-floor wall clock) is listed in
 //! [`Comparison::skipped`] with its reason, so a passing perf job shows
 //! what was *not* checked.
 
@@ -35,7 +35,8 @@ use fabricsim::obs::{Json, WallClock};
 use fabricsim::{OrdererType, PolicySpec, SimConfig, Simulation};
 
 /// Schema version of the baseline JSON. Bump on incompatible change.
-/// v2: scenarios carry `channels` and `sim_workers` (sharded-engine matrix).
+/// v2: scenarios carry `channels` (and, until the sharded engine was
+/// removed, `sim_workers`; the reader ignores that column).
 /// v3: multi-seed replication — per-scenario `{mean, stddev}` stats plus the
 /// per-seed `runs` list; the report carries `seeds`. v2 baselines still
 /// parse (one run, stddev 0).
@@ -66,9 +67,6 @@ pub struct BenchScenario {
     pub validator_pool: usize,
     /// Channel count of the deployment.
     pub channels: u32,
-    /// Simulation engine: 0 = serial monolithic kernel, N ≥ 1 = sharded
-    /// kernel on N worker threads.
-    pub sim_workers: u32,
 }
 
 /// Mean and standard deviation of one metric over the seed replicas.
@@ -132,8 +130,6 @@ pub struct ScenarioResult {
     pub validator_pool: usize,
     /// Channel count.
     pub channels: u32,
-    /// Worker threads (0 = serial engine).
-    pub sim_workers: u32,
     /// [`SimConfig::digest`] of the scenario at [`BASE_SEED`] — detects
     /// silent scenario drift (the digest covers the seed, so replicas are
     /// identified by the base-seed digest).
@@ -155,10 +151,8 @@ pub struct BenchReport {
     pub schema_version: u64,
     /// Wall cost of the fixed calibration workload on this machine, ms.
     pub calibration_ms: f64,
-    /// Available parallelism on the machine that produced the report.
-    /// Sharded scenarios whose worker count oversubscribes either machine
-    /// are excluded from wall-clock comparison: an N-worker run on fewer
-    /// than N cores measures scheduler luck, not engine cost.
+    /// Available parallelism on the machine that produced the report
+    /// (provenance only: every scenario runs one serial event loop).
     pub host_cores: usize,
     /// Seed replicas per scenario ([`BASE_SEED`]`..BASE_SEED+seeds`).
     pub seeds: u64,
@@ -221,8 +215,7 @@ pub struct Comparison {
     pub failures: Vec<String>,
     /// Informational notes (digest drift, calibration ratio, speedups).
     pub notes: Vec<String>,
-    /// Checks that were skipped, with reasons (sub-floor wall clock,
-    /// oversubscribed sharded scenarios).
+    /// Checks that were skipped, with reasons (sub-floor wall clock).
     pub skipped: Vec<SkippedCheck>,
 }
 
@@ -275,15 +268,13 @@ fn json_escape(s: &str) -> String {
 }
 
 /// The fixed scenario matrix: offered-load sweep × validator-pool {1, 4},
-/// plus a 4-channel point run on both engines.
+/// plus one 4-channel point.
 ///
 /// Solo ordering with an AND5 endorsement policy keeps the VSCC stage
 /// signature-heavy (the paper's validate bottleneck), so widening the pool
-/// from 1 to 4 is visible in both throughput and wall clock. The
-/// `ch4_r500_p4_w{1,4}` pair runs the same multi-channel deployment on the
-/// sharded engine at 1 and 4 workers: identical simulated metrics (the
-/// engines are byte-equivalent), and the wall-clock delta tracks the
-/// parallel speedup on the recording machine.
+/// from 1 to 4 is visible in both throughput and wall clock. `ch4_r500_p4`
+/// runs four channels on the same peers, whose committers then contend for
+/// the shared validate cores.
 pub fn scenario_matrix() -> Vec<BenchScenario> {
     let mut out = Vec::new();
     for &pool in &[1usize, 4] {
@@ -293,19 +284,15 @@ pub fn scenario_matrix() -> Vec<BenchScenario> {
                 offered_tps: rate,
                 validator_pool: pool,
                 channels: 1,
-                sim_workers: 0,
             });
         }
     }
-    for &workers in &[1u32, 4] {
-        out.push(BenchScenario {
-            name: format!("ch4_r500_p4_w{workers}"),
-            offered_tps: 500.0,
-            validator_pool: 4,
-            channels: 4,
-            sim_workers: workers,
-        });
-    }
+    out.push(BenchScenario {
+        name: "ch4_r500_p4".into(),
+        offered_tps: 500.0,
+        validator_pool: 4,
+        channels: 4,
+    });
     out
 }
 
@@ -323,7 +310,6 @@ pub fn scenario_config_seeded(s: &BenchScenario, seed: u64) -> SimConfig {
         cooldown_secs: 2.0,
         seed,
         channels: s.channels,
-        sim_workers: s.sim_workers,
         ..SimConfig::default()
     };
     cfg.cost.validator_pool_size = s.validator_pool;
@@ -389,7 +375,6 @@ fn aggregate_scenario(s: &BenchScenario, runs: Vec<SeedRun>) -> ScenarioResult {
         offered_tps: s.offered_tps,
         validator_pool: s.validator_pool,
         channels: s.channels,
-        sim_workers: s.sim_workers,
         config_digest: scenario_config(s).digest(),
         committed_tps: stat(|r| r.committed_tps),
         overall_latency_mean_s: stat(|r| r.overall_latency_mean_s),
@@ -433,7 +418,7 @@ impl BenchReport {
             out.push_str(&format!(
                 concat!(
                     "    {{\"name\": \"{}\", \"offered_tps\": {}, \"validator_pool\": {}, ",
-                    "\"channels\": {}, \"sim_workers\": {}, \"config_digest\": \"{}\",\n",
+                    "\"channels\": {}, \"config_digest\": \"{}\",\n",
                     "     \"committed_tps\": {}, \"overall_latency_mean_s\": {}, ",
                     "\"wall_clock_ms\": {},\n     \"runs\": ["
                 ),
@@ -441,7 +426,6 @@ impl BenchReport {
                 s.offered_tps,
                 s.validator_pool,
                 s.channels,
-                s.sim_workers,
                 s.config_digest,
                 stat(&s.committed_tps),
                 stat(&s.overall_latency_mean_s),
@@ -542,7 +526,6 @@ impl BenchReport {
                 offered_tps: num(s, &path, "offered_tps")?,
                 validator_pool: num(s, &path, "validator_pool")? as usize,
                 channels: num(s, &path, "channels")? as u32,
-                sim_workers: num(s, &path, "sim_workers")? as u32,
                 config_digest: st(s, &path, "config_digest")?,
                 committed_tps: Stat::exact(0.0),
                 overall_latency_mean_s: Stat::exact(0.0),
@@ -633,10 +616,8 @@ fn band(tolerance: f64, base: &Stat, cur_stddev: f64) -> f64 {
 /// * **Wall clock** is first normalized by the calibration ratio
 ///   (`baseline.calibration_ms / current.calibration_ms`), then compared
 ///   with the same noise-aware band; scenarios with a baseline wall cost
-///   under [`WALL_FLOOR_MS`] are skipped, as are sharded scenarios whose
-///   worker count exceeds either host's core count — an oversubscribed
-///   spin-barrier run measures scheduler luck, not engine cost. Every skip
-///   is recorded in [`Comparison::skipped`] with its reason.
+///   under [`WALL_FLOOR_MS`] are skipped, and every skip is recorded in
+///   [`Comparison::skipped`] with its reason.
 /// * **Config-digest drift** means the scenario definition itself changed;
 ///   it is noted so a "pass" can't silently compare different experiments.
 pub fn compare(baseline: &BenchReport, current: &BenchReport, tolerance: f64) -> Comparison {
@@ -690,19 +671,6 @@ pub fn compare(baseline: &BenchReport, current: &BenchReport, tolerance: f64) ->
             });
             continue;
         }
-        let workers = c.sim_workers.max(b.sim_workers) as usize;
-        let cores = baseline.host_cores.min(current.host_cores);
-        if workers > 1 && workers > cores {
-            cmp.skipped.push(SkippedCheck {
-                scenario: b.name.clone(),
-                metric: "wall_clock_ms".into(),
-                reason: format!(
-                    "{workers} workers oversubscribe a {cores}-core host \
-                     (spin-barrier scheduling noise)"
-                ),
-            });
-            continue;
-        }
         let normalized_ms = c.wall_clock_ms.mean * speed_ratio;
         let wall_band = band(
             tolerance,
@@ -738,7 +706,6 @@ mod tests {
             offered_tps: 100.0,
             validator_pool: 1,
             channels: 1,
-            sim_workers: 0,
             config_digest: "0123456789abcdef".into(),
             committed_tps: Stat::exact(tps),
             overall_latency_mean_s: Stat::exact(0.5),
@@ -775,28 +742,24 @@ mod tests {
     }
 
     #[test]
-    fn matrix_is_load_sweep_times_pool_plus_sharded_pair() {
+    fn matrix_is_load_sweep_times_pool_plus_four_channel_point() {
         let m = scenario_matrix();
-        assert_eq!(m.len(), 8);
+        assert_eq!(m.len(), 7);
         let mut names: Vec<&str> = m.iter().map(|s| s.name.as_str()).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 8, "scenario names must be unique");
+        assert_eq!(names.len(), 7, "scenario names must be unique");
         assert!(m.iter().any(|s| s.validator_pool == 1));
         assert!(m.iter().any(|s| s.validator_pool == 4));
         for s in &m {
             assert!(scenario_config(s).validate().is_ok(), "{} invalid", s.name);
         }
-        // The sharded pair differs only in worker count, so the virtual runs
-        // are the same experiment: the config digest must agree.
-        let sharded: Vec<&BenchScenario> = m.iter().filter(|s| s.sim_workers > 0).collect();
-        assert_eq!(sharded.len(), 2);
-        assert!(sharded.iter().all(|s| s.channels == 4));
-        assert_eq!(
-            scenario_config(sharded[0]).digest(),
-            scenario_config(sharded[1]).digest(),
-            "worker count must not change the experiment identity"
-        );
+        let multi: Vec<&str> = m
+            .iter()
+            .filter(|s| s.channels > 1)
+            .map(|s| s.name.as_str())
+            .collect();
+        assert_eq!(multi, ["ch4_r500_p4"]);
     }
 
     #[test]
@@ -979,39 +942,6 @@ mod tests {
     }
 
     #[test]
-    fn oversubscribed_sharded_wall_clock_is_listed_as_skipped() {
-        // A 4-worker scenario checked on a 1-core host: spin-barrier
-        // scheduling noise makes wall clock meaningless, but the
-        // deterministic committed_tps comparison still applies.
-        let mut base_s = result("ch4_w4", 100.0, 4000.0);
-        base_s.sim_workers = 4;
-        let mut cur_s = base_s.clone();
-        cur_s.wall_clock_ms = Stat::exact(10000.0);
-        let base = report(500.0, vec![base_s]);
-        let mut cur = report(500.0, vec![cur_s]);
-        cur.host_cores = 1;
-        let cmp = compare(&base, &cur, DEFAULT_TOLERANCE);
-        assert!(cmp.failures.is_empty(), "{:?}", cmp.failures);
-        assert!(
-            cmp.skipped
-                .iter()
-                .any(|s| s.reason.contains("oversubscribe")),
-            "{:?}",
-            cmp.skipped
-        );
-
-        // Throughput regressions are never excused by oversubscription.
-        cur.scenarios[0].committed_tps = Stat::exact(50.0);
-        let cmp = compare(&base, &cur, DEFAULT_TOLERANCE);
-        assert_eq!(cmp.failures.len(), 1);
-        assert!(
-            cmp.failures[0].contains("committed_tps"),
-            "{:?}",
-            cmp.failures
-        );
-    }
-
-    #[test]
     fn missing_scenario_fails() {
         let base = report(500.0, vec![result("a", 100.0, 250.0)]);
         let cur = report(500.0, vec![]);
@@ -1039,7 +969,6 @@ mod tests {
             offered_tps: 100.0,
             validator_pool: 1,
             channels: 1,
-            sim_workers: 0,
         };
         let a = aggregate_scenario(
             &s,

@@ -1,14 +1,12 @@
 //! The simulation world: clients, peers, ordering service, Kafka brokers and
 //! ZooKeeper wired over the DES kernel with the calibrated cost model.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use fabricsim_chaincode::samples::{AssetTransfer, KvWrite, Nondeterministic, Smallbank};
 use fabricsim_des::{
-    EventId, Kernel, KernelProfile, Link, RngStream, ShardWorld, ShardedKernel, SimDuration,
-    SimTime, Station,
+    EventId, Kernel, KernelProfile, Link, RngStream, SimDuration, SimTime, Station,
 };
 use fabricsim_kafka::{
     Broker, BrokerEffect, BrokerMsg, ClientEvent, KafkaConfig, ZkEffect, ZkEnsemble, ZkMsg,
@@ -128,18 +126,11 @@ pub struct RunObservability {
     /// (whole run, warm-up included).
     pub e2e_hist: LogHistogram,
     /// The DES kernel's host-time self-profile. `None` unless
-    /// [`crate::ObsConfig::profile`] was set. On a sharded run this is the
-    /// label-wise sum of every shard's profile (total host CPU inside event
-    /// loops, not elapsed time).
+    /// [`crate::ObsConfig::profile`] was set.
     pub profile: Option<KernelProfile>,
-    /// Per-shard kernel self-profiles of a sharded run, in shard (= channel)
-    /// order. Empty on the classic serial engine or when profiling is off.
-    pub shard_profiles: Vec<KernelProfile>,
     /// Online health-plane report (regime timeline, bottleneck-shift onsets,
     /// SLO burn accounting). `None` unless
-    /// [`crate::ObsConfig::health_events`] was set. On a sharded run the
-    /// per-shard engines are merged canonically in shard order, so the
-    /// report is byte-identical at every worker count.
+    /// [`crate::ObsConfig::health_events`] was set.
     pub health: Option<HealthReport>,
 }
 
@@ -290,13 +281,11 @@ struct World {
     next_cut_number: Vec<u64>,
     observer: usize,
     obs: ObsState,
-    /// Sharded-engine context; `None` on the classic serial engine.
-    shard: Option<ShardCtx>,
 }
 
 type K = Kernel<World>;
 
-/// A channel id that is not part of this world (or this world's shard).
+/// A channel id that is not part of this world.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct UnknownChannel(ChannelId);
 
@@ -307,72 +296,6 @@ impl std::fmt::Display for UnknownChannel {
 }
 
 impl std::error::Error for UnknownChannel {}
-
-/// Construction parameters of one shard world (sharded engine only).
-struct ShardSpec {
-    /// This shard's index — identical to its global channel index.
-    shard_id: usize,
-    /// Every channel id of the run, indexed by global channel index.
-    global_channels: Vec<ChannelId>,
-}
-
-/// Per-shard runtime state of the sharded engine. A shard owns one channel's
-/// entire pipeline (peer instances, OSNs, brokers, one ZK ensemble, and
-/// per-channel station lanes) plus the client pools *homed* on it
-/// (`pool % n_shards == shard_id`): arrivals, prep and proposal egress run on
-/// the home shard, and a transaction bound for another channel is exported to
-/// that channel's shard through the conservative mailbox.
-struct ShardCtx {
-    /// This shard's index == its channel's global index.
-    shard_id: usize,
-    /// Every channel id of the run, indexed by global channel index.
-    global_channels: Vec<ChannelId>,
-    /// Cross-shard messages emitted this window: `(target shard, delivery
-    /// time, message)`. Drained by the sharded kernel at the window barrier.
-    outbox: Vec<(usize, SimTime, ShardMsg)>,
-    /// Origin `(shard, seq)` of each local trace, parallel to
-    /// [`World::traces`]. Home-created traces carry their own `(shard_id,
-    /// local index)`; imported traces carry their home identity, which is the
-    /// key the deterministic merge overwrites home stubs by.
-    trace_src: Vec<(u32, u32)>,
-    /// Transactions handed to another shard; their home stubs stay
-    /// `InFlight` forever (replaced by the imported copy at merge time), so
-    /// the in-flight gauge subtracts this count.
-    exported: usize,
-    /// Virtual times of every scheduled-but-unexecuted `pool.send` event on
-    /// this shard — the only events that can emit cross-shard messages.
-    /// The heap minimum feeds [`ShardWorld::emission_bound`].
-    pending_sends: BinaryHeap<Reverse<SimTime>>,
-    /// Guaranteed minimum delay between any event and a `pool.send` it
-    /// schedules: client prep service floor (mean minus jitter bound) plus
-    /// the SDK pre-processing delay. The emission bound extends to
-    /// `next event + this` when no earlier send is already pending.
-    min_send_delay: SimDuration,
-}
-
-/// The one cross-shard interaction: a client pool on its home shard hands a
-/// fully prepared proposal to the shard that owns the target channel. The
-/// delivery times were already computed through the home pool's egress link,
-/// so they respect the lookahead contract (`transfer ≥ now + propagation`);
-/// everything after endorsement fan-in (responses, assembly, ordering,
-/// validation, commit) is local to the receiving shard.
-enum ShardMsg {
-    Proposal {
-        /// Origin `(shard, trace seq)` identity of the transaction.
-        src: (u32, u32),
-        /// Global client-pool index (every shard builds lanes for all pools).
-        pool: usize,
-        proposal: Proposal,
-        /// Endorsements the collector should expect (reachable targets).
-        expected: usize,
-        /// Per-endorser `(peer index, proposal arrival time)` fan-out.
-        deliveries: Vec<(usize, SimTime)>,
-        /// The transaction's phase trace so far (created/proposal_sent).
-        trace: TxTrace,
-        /// Station attribution so far (client prep).
-        breakdown: TxStationBreakdown,
-    },
-}
 
 /// The station class whose attribution is complete once a transaction
 /// crosses `phase` — the snapshot point for the cumulative queue/service
@@ -562,67 +485,13 @@ impl World {
         (principal.org.0 - 1) as usize
     }
 
-    /// Local channel index for a channel id, from the precomputed lookup.
-    /// On a shard world only the shard's own channel resolves; anything else
-    /// is [`UnknownChannel`] (callers drop the event or export the work).
+    /// Channel index for a channel id, from the precomputed lookup; an id
+    /// outside the run is [`UnknownChannel`] (callers drop the event).
     fn channel_index(&self, id: &ChannelId) -> Result<usize, UnknownChannel> {
         self.channel_lookup
             .get(id)
             .copied()
             .ok_or_else(|| UnknownChannel(id.clone()))
-    }
-
-    /// Appends a trace, recording its home `(shard, seq)` origin when this
-    /// world is a shard, and returns its local index.
-    fn push_trace(&mut self, trace: TxTrace) -> usize {
-        let seq = self.traces.len();
-        if let Some(s) = &mut self.shard {
-            s.trace_src.push((s.shard_id as u32, seq as u32));
-        }
-        self.traces.push(trace);
-        seq
-    }
-
-    /// Number of channels in the whole run (a shard world's local
-    /// `channel_ids` holds only its own channel).
-    fn total_channels(&self) -> usize {
-        self.shard
-            .as_ref()
-            .map_or(self.channel_ids.len(), |s| s.global_channels.len())
-    }
-
-    /// The channel id at *global* index `gc`.
-    fn global_channel_id(&self, gc: usize) -> ChannelId {
-        match &self.shard {
-            Some(s) => s.global_channels[gc].clone(),
-            None => self.channel_ids[gc].clone(),
-        }
-    }
-
-    /// Global channel index of local channel `local` — shard worlds own
-    /// exactly their shard's channel, so trace identities (`b{ch}.{n}`,
-    /// `ch{ch}`) stay collision-free across shards.
-    fn global_ch(&self, local: usize) -> usize {
-        self.shard.as_ref().map_or(local, |s| s.shard_id)
-    }
-
-    /// `Some(target shard)` when `id` is another shard's channel (the
-    /// transaction must be exported); `None` when it is local.
-    fn export_target(&self, id: &ChannelId) -> Option<usize> {
-        let s = self.shard.as_ref()?;
-        if self.channel_lookup.contains_key(id) {
-            return None;
-        }
-        s.global_channels.iter().position(|c| c == id)
-    }
-
-    /// Whether client pool `p` runs its arrival process on this world
-    /// (shards home pool `p` at shard `p % n_shards`; the serial engine
-    /// homes every pool).
-    fn pool_is_homed(&self, p: usize) -> bool {
-        self.shard
-            .as_ref()
-            .is_none_or(|s| p % s.global_channels.len() == s.shard_id)
     }
 }
 
@@ -674,17 +543,10 @@ impl Simulation {
     }
 
     /// Runs to completion and returns summary + raw traces.
-    ///
-    /// `sim_workers == 0` runs the classic serial engine; any positive value
-    /// runs the sharded engine (one event loop per channel), whose results
-    /// are byte-identical at every worker count.
     pub fn run_detailed(self) -> RunResult {
-        if self.cfg.sim_workers > 0 {
-            return self.run_sharded();
-        }
         let cfg = self.cfg;
         let faults = self.faults;
-        let mut world = build_world(&cfg, self.live, None);
+        let mut world = build_world(&cfg, self.live);
         let mut kernel: K = Kernel::new();
         let end = SimTime::from_secs_f64(cfg.duration_secs);
         kernel.set_horizon(end);
@@ -803,7 +665,6 @@ impl Simulation {
             bottleneck: BottleneckReport::from_breakdowns(&committed, window_s),
             e2e_hist: world.obs.e2e_hist,
             profile,
-            shard_profiles: Vec::new(),
             health,
         };
         RunResult {
@@ -817,273 +678,25 @@ impl Simulation {
             block_cuts: world.block_cuts,
         }
     }
-
-    /// The sharded engine: one event loop per channel shard, run on
-    /// `min(sim_workers, channels)` worker threads under a conservative
-    /// synchronization barrier whose lookahead is the link propagation
-    /// delay. Merge points (traces, block cuts, spans, series, histograms,
-    /// profiles, ledger state) are all worker-count-invariant, so the
-    /// returned report is byte-identical at any positive worker count.
-    fn run_sharded(self) -> RunResult {
-        let cfg = self.cfg;
-        let faults = self.faults;
-        let n_shards = cfg.channels as usize;
-        let global_channels: Vec<ChannelId> = if n_shards == 1 {
-            vec![ChannelId::default_channel()]
-        } else {
-            (0..n_shards)
-                .map(|c| ChannelId(format!("channel{c}")))
-                .collect()
-        };
-        let end = SimTime::from_secs_f64(cfg.duration_secs);
-        if let Some(live) = &self.live {
-            live.runs_started.inc();
-        }
-        // The conservative lookahead: no cross-shard interaction can land
-        // earlier than one link propagation after it was emitted.
-        let mut sharded: ShardedKernel<World> =
-            ShardedKernel::new(SimDuration::from_millis_f64(cfg.cost.link_propagation_ms));
-        sharded.set_horizon(end);
-        for shard_id in 0..n_shards {
-            let spec = ShardSpec {
-                shard_id,
-                global_channels: global_channels.clone(),
-            };
-            let mut world = build_world(&cfg, self.live.clone(), Some(spec));
-            let mut kernel: K = Kernel::new();
-            kernel.set_horizon(end);
-            bootstrap(&mut world, &mut kernel);
-            schedule_faults(&faults, &mut kernel);
-            sharded.push_shard(kernel, world);
-        }
-        if cfg.obs.profile {
-            sharded.enable_profiler();
-        }
-        let report = sharded.run((cfg.sim_workers as usize).min(n_shards));
-        if std::env::var_os("FABRICSIM_SHARD_DEBUG").is_some() {
-            eprintln!(
-                "sharded run: {} windows, {} cross-shard messages, {} events",
-                report.windows, report.messages, report.stats.executed
-            );
-        }
-        let shard_profiles: Vec<KernelProfile> =
-            sharded.take_profiles().into_iter().flatten().collect();
-        let mut worlds = sharded.into_worlds();
-        for w in &mut worlds {
-            flush_partial_tick(w, end);
-        }
-        if let Some(live) = &self.live {
-            live.runs_completed.inc();
-        }
-
-        // ---- deterministic merge --------------------------------------------
-        // Utilization first (read-only): lanes of one entity sum busy time
-        // over summed provisioned servers.
-        let horizon_s = end.as_secs_f64();
-        let merge_util = |per_world: Vec<Vec<(SimDuration, usize)>>| -> Vec<f64> {
-            let n = per_world.first().map_or(0, Vec::len);
-            (0..n)
-                .map(|i| {
-                    let busy: f64 = per_world.iter().map(|w| w[i].0.as_secs_f64()).sum();
-                    let servers: usize = per_world.iter().map(|w| w[i].1).sum();
-                    busy / (horizon_s * servers.max(1) as f64)
-                })
-                .collect()
-        };
-        let lanes =
-            |f: &dyn Fn(&World) -> Vec<(SimDuration, usize)>| -> Vec<Vec<(SimDuration, usize)>> {
-                worlds.iter().map(f).collect()
-            };
-        let station_lane = |s: &Station| (s.busy_time(), s.servers());
-        let utilization = UtilizationReport {
-            pool_prep: merge_util(lanes(&|w| {
-                w.pools.iter().map(|p| station_lane(&p.prep)).collect()
-            })),
-            pool_recv: merge_util(lanes(&|w| {
-                w.pools.iter().map(|p| station_lane(&p.recv)).collect()
-            })),
-            peer_endorse: merge_util(lanes(&|w| {
-                w.peers.iter().map(|p| station_lane(&p.endorse)).collect()
-            })),
-            peer_vscc: merge_util(lanes(&|w| {
-                w.peers.iter().map(|p| station_lane(&p.vscc)).collect()
-            })),
-            peer_commit: merge_util(lanes(&|w| {
-                w.peers.iter().map(|p| station_lane(&p.commit)).collect()
-            })),
-            osn_cpu: merge_util(lanes(&|w| {
-                w.osns.iter().map(|o| station_lane(&o.station)).collect()
-            })),
-        };
-
-        // Trace merge: slot (shard, seq) is a transaction's home identity.
-        // A home-created copy fills its slot unless the completed imported
-        // copy (same identity, from the channel shard that finished the tx)
-        // already claimed it; imports always win. Slots left empty are the
-        // positions imports occupied in their *destination* world's vec.
-        let sizes: Vec<usize> = worlds.iter().map(|w| w.traces.len()).collect();
-        let mut slots: Vec<Vec<Option<(TxTrace, TxStationBreakdown)>>> = sizes
-            .iter()
-            .map(|&n| (0..n).map(|_| None).collect())
-            .collect();
-
-        let multi = n_shards > 1;
-        let mut final_state = Vec::new();
-        let mut observer_height = 0u64;
-        let mut chain_ok = true;
-        let mut block_cuts: Vec<(SimTime, usize)> = Vec::new();
-        let mut dropped_events = 0u64;
-        let mut events = Vec::new();
-        let mut dropped_spans = 0u64;
-        let mut spans = Vec::new();
-        let mut recorder: Option<MetricsRecorder> = None;
-        let mut health: Option<HealthReport> = None;
-        let mut e2e_hist = LogHistogram::latency();
-
-        for (s, w) in worlds.into_iter().enumerate() {
-            {
-                let observer = &w.peers[w.observer];
-                for peer in &observer.channels {
-                    for (key, v) in peer.ledger().state().range("", "") {
-                        let key = if multi {
-                            format!("ch{s}/{key}")
-                        } else {
-                            key.to_string()
-                        };
-                        final_state.push((key, v.value.clone()));
-                    }
-                    observer_height += peer.ledger().height();
-                    chain_ok &= peer.ledger().blocks().verify_chain().is_ok();
-                }
-            }
-            block_cuts.extend(w.block_cuts);
-            dropped_events += w.obs.sink.dropped_events();
-            events.extend(w.obs.sink.into_events());
-            dropped_spans += w.obs.spans.dropped_spans();
-            spans.extend(w.obs.spans.into_spans());
-            if let Some(r) = w.obs.recorder {
-                match recorder.as_mut() {
-                    None => recorder = Some(r),
-                    Some(acc) => acc.absorb(&r),
-                }
-            }
-            // Shard-order concatenation; one canonical sort after the loop
-            // keeps the merged health timeline worker-count-invariant.
-            if let Some(h) = w.obs.health {
-                let r = h.into_report();
-                match health.as_mut() {
-                    None => health = Some(r),
-                    Some(acc) => acc.merge(r),
-                }
-            }
-            e2e_hist.merge(&w.obs.e2e_hist);
-            let src_list = w.shard.map(|ctx| ctx.trace_src).unwrap_or_default();
-            debug_assert_eq!(src_list.len(), w.traces.len());
-            for ((trace, breakdown), (src_shard, src_seq)) in
-                w.traces.into_iter().zip(w.obs.breakdowns).zip(src_list)
-            {
-                let (home, seq) = (src_shard as usize, src_seq as usize);
-                let imported = home != s;
-                if imported || slots[home][seq].is_none() {
-                    slots[home][seq] = Some((trace, breakdown));
-                }
-            }
-        }
-        // Stable sorts: ties keep shard order, so the merged streams are
-        // identical at every worker count.
-        block_cuts.sort_by_key(|c| c.0);
-        events.sort_by(|a, b| a.t_s.total_cmp(&b.t_s));
-        spans.sort_by(|a, b| {
-            a.t0_s
-                .total_cmp(&b.t0_s)
-                .then(a.t1_s.total_cmp(&b.t1_s))
-                .then(a.span_id.cmp(&b.span_id))
-        });
-        let mut merged: Vec<(TxTrace, TxStationBreakdown)> =
-            slots.into_iter().flatten().flatten().collect();
-        merged.sort_by_key(|m| m.0.created);
-        let (traces, breakdowns): (Vec<TxTrace>, Vec<TxStationBreakdown>) =
-            merged.into_iter().unzip();
-
-        let w0 = SimTime::from_secs_f64(cfg.warmup_secs);
-        let w1 = SimTime::from_secs_f64(cfg.duration_secs - cfg.cooldown_secs);
-        let mut summary = summarize(&traces, &block_cuts, (w0, w1), cfg.arrival_rate_tps);
-        summary.seed = cfg.seed;
-        summary.config_digest = cfg.digest();
-        let window_s = (cfg.duration_secs / 10.0).clamp(1.0, 10.0);
-        let committed: Vec<TxStationBreakdown> = traces
-            .iter()
-            .zip(&breakdowns)
-            .filter(|(t, _)| matches!(t.outcome, TxOutcome::Committed(_)))
-            .map(|(_, b)| b.clone())
-            .collect();
-        let profile = (!shard_profiles.is_empty()).then(|| {
-            let mut total = KernelProfile::default();
-            for p in &shard_profiles {
-                total.absorb(p);
-            }
-            total
-        });
-        if let Some(h) = health.as_mut() {
-            h.sort_events();
-        }
-        let observability = RunObservability {
-            events,
-            dropped_events,
-            spans,
-            dropped_spans,
-            metrics: recorder,
-            bottleneck: BottleneckReport::from_breakdowns(&committed, window_s),
-            e2e_hist,
-            profile,
-            shard_profiles,
-            health,
-        };
-        RunResult {
-            summary,
-            observer_height,
-            chain_ok,
-            final_state,
-            utilization,
-            observability,
-            traces,
-            block_cuts,
-        }
-    }
 }
 
 // ---- world construction ------------------------------------------------------
 
-fn build_world(cfg: &SimConfig, live: Option<Arc<LiveMetrics>>, shard: Option<ShardSpec>) -> World {
-    // A shard world owns exactly one channel; the serial engine owns all of
-    // them. Station capacities and per-channel structures below size off the
-    // *local* channel count, which hands each shard its exact per-channel
-    // share of the validate pipeline.
-    let channel_ids: Vec<ChannelId> = match &shard {
-        Some(s) => vec![s.global_channels[s.shard_id].clone()],
-        None => {
-            let n = cfg.channels as usize;
-            if n == 1 {
-                vec![ChannelId::default_channel()]
-            } else {
-                (0..n).map(|c| ChannelId(format!("channel{c}"))).collect()
-            }
-        }
+fn build_world(cfg: &SimConfig, live: Option<Arc<LiveMetrics>>) -> World {
+    // Every peer, OSN, broker and client pool serves every channel: the
+    // channels share hardware, and station capacities below scale with the
+    // channel count (one committer pipeline per channel on shared cores).
+    let n_channels = cfg.channels as usize;
+    let channel_ids: Vec<ChannelId> = if n_channels == 1 {
+        vec![ChannelId::default_channel()]
+    } else {
+        (0..n_channels)
+            .map(|c| ChannelId(format!("channel{c}")))
+            .collect()
     };
-    let n_channels = channel_ids.len();
-    // Identity material is identical in every shard: same CA seed, same
-    // enrollment sequence (independent of the channel restriction), so
-    // signatures verify across shard boundaries.
     let policy = cfg.policy.resolve(cfg.endorsing_peers);
     let ca = CertificateAuthority::new("fabric-ca", cfg.seed);
     let root = RngStream::derive(cfg.seed, "world");
-    // Per-shard jitter streams are salted so shards don't draw correlated
-    // endorse-path jitter; pool streams keep the serial derivation (they are
-    // only consumed on a pool's home shard).
-    let jitter_salt = shard
-        .as_ref()
-        .map_or(0, |s| 100_000 * (s.shard_id as u64 + 1));
-    let shard_channel = shard.as_ref().map_or(0, |s| s.shard_id as u32);
     let m = &cfg.cost;
 
     // Peers: endorsers 0..n-1 (Org i+1), then committers (observer first).
@@ -1160,7 +773,7 @@ fn build_world(cfg: &SimConfig, live: Option<Arc<LiveMetrics>>, shard: Option<Sh
                 m.link_bandwidth_bps,
                 SimDuration::from_millis_f64(m.link_propagation_ms),
             ),
-            jitter: root.child(1000 + i as u64 + jitter_salt),
+            jitter: root.child(1000 + i as u64),
         });
     }
 
@@ -1231,13 +844,9 @@ fn build_world(cfg: &SimConfig, live: Option<Arc<LiveMetrics>>, shard: Option<Sh
                     channel.clone(),
                     cfg.batch,
                     (0..osn_count as u32).collect(),
-                    // Raft group seed keys off the *global* channel index so
-                    // every channel's group elects independently, sharded or
-                    // not.
-                    cfg.seed
-                        ^ 0xABCD
-                        ^ o as u64
-                        ^ ((shard.as_ref().map_or(c, |s| s.shard_id) as u64) << 32),
+                    // Raft group seed keys off the channel index so every
+                    // channel's group elects independently.
+                    cfg.seed ^ 0xABCD ^ o as u64 ^ ((c as u64) << 32),
                 ),
                 OrdererType::Kafka => OsnNode::kafka(
                     o as u32,
@@ -1326,18 +935,6 @@ fn build_world(cfg: &SimConfig, live: Option<Arc<LiveMetrics>>, shard: Option<Sh
         tx_pool: HashMap::new(),
         block_cuts: Vec::new(),
         next_cut_number: vec![0; n_channels],
-        shard: shard.map(|s| ShardCtx {
-            shard_id: s.shard_id,
-            global_channels: s.global_channels,
-            outbox: Vec::new(),
-            trace_src: Vec::new(),
-            exported: 0,
-            pending_sends: BinaryHeap::new(),
-            min_send_delay: SimDuration::from_millis_f64(
-                (cfg.cost.client_prep_ms - cfg.cost.client_prep_jitter_ms).max(0.0)
-                    + cfg.cost.sdk_pre_ms,
-            ),
-        }),
         obs: ObsState {
             sink: if cfg.obs.trace_events {
                 EventSink::in_memory_bounded(cfg.obs.trace_buffer_cap)
@@ -1358,20 +955,15 @@ fn build_world(cfg: &SimConfig, live: Option<Arc<LiveMetrics>>, shard: Option<Sh
             recorder: (cfg.obs.sample_period_s > 0.0)
                 .then(|| MetricsRecorder::new(cfg.obs.sample_period_s)),
             health: cfg.obs.health_events.then(|| {
-                // One engine per event-loop world: the whole run on the
-                // serial engine (channel 0 aggregate), one per channel shard
-                // on the sharded engine. The window matches the sampler
-                // cadence (1 s fallback mirrors `sample_period_s()`).
+                // One engine for the whole run (channel 0 aggregate). The
+                // window matches the sampler cadence (1 s fallback mirrors
+                // `sample_period_s()`).
                 let window = if cfg.obs.sample_period_s > 0.0 {
                     cfg.obs.sample_period_s
                 } else {
                     1.0
                 };
-                OnlineHealth::new(
-                    shard_channel,
-                    window,
-                    HealthConfig::with_slo(cfg.obs.slo_p99_s),
-                )
+                OnlineHealth::new(0, window, HealthConfig::with_slo(cfg.obs.slo_p99_s))
             }),
             e2e_hist: LogHistogram::latency(),
             last_block_cuts: 0,
@@ -1384,11 +976,9 @@ fn build_world(cfg: &SimConfig, live: Option<Arc<LiveMetrics>>, shard: Option<Sh
 // ---- bootstrap ---------------------------------------------------------------
 
 fn bootstrap(world: &mut World, k: &mut K) {
-    // Arrival processes (on a shard world, only for the pools homed here).
+    // Arrival processes.
     for p in 0..world.pools.len() {
-        if world.pool_is_homed(p) {
-            schedule_next_arrival(world, k, p);
-        }
+        schedule_next_arrival(world, k, p);
     }
     // Time-series sampler (reads state only: scheduling it never perturbs
     // the simulated system, so traced and untraced runs stay bit-identical).
@@ -1515,24 +1105,14 @@ fn sweep_gauges(world: &mut World, now: SimTime) -> GaugeSweep {
             .traces
             .iter()
             .filter(|t| matches!(t.outcome, TxOutcome::InFlight))
-            .count()
-            // Exported home stubs stay InFlight forever; the receiving shard
-            // counts the live copy.
-            .saturating_sub(world.shard.as_ref().map_or(0, |s| s.exported)),
+            .count(),
         new_cuts,
     }
 }
 
-/// Publishes a sweep to the live plane's gauges, if one is attached. In a
-/// sharded run only shard 0 drives the gauges (counters stay cross-shard:
-/// they are atomic and increment-only); gauges then cover shard 0's slice
-/// of the world, which keeps the exporter deterministic-read safe without
-/// cross-thread coordination.
+/// Publishes a sweep to the live plane's gauges, if one is attached.
 fn publish_live(world: &World, now: SimTime, s: &GaugeSweep) {
     let Some(live) = &world.obs.live else { return };
-    if world.shard.as_ref().is_some_and(|sh| sh.shard_id != 0) {
-        return;
-    }
     live.sim_time.set(now.as_secs_f64());
     live.inflight.set(s.inflight as f64);
     live.q_pool_prep.set(s.pool_prep as f64);
@@ -1555,41 +1135,23 @@ fn sample_period_s(world: &World) -> f64 {
     }
 }
 
-/// The series-name prefix of this world's recorder: empty on the serial
-/// engine, `ch{c}.` on shard `c` so the merged table keeps every shard's
-/// series distinct.
-fn sweep_prefix(world: &World) -> String {
-    world
-        .shard
-        .as_ref()
-        .map_or_else(String::new, |s| format!("ch{}.", s.shard_id))
-}
-
 /// Records a sweep into the recorder's per-window series.
-fn record_sweep(rec: &mut MetricsRecorder, s: &GaugeSweep, cut_scale: f64, prefix: &str) {
-    rec.sample(&format!("{prefix}queue.pool_prep"), s.pool_prep as f64);
-    rec.sample(&format!("{prefix}queue.pool_recv"), s.pool_recv as f64);
-    rec.sample(
-        &format!("{prefix}queue.peer_endorse"),
-        s.peer_endorse as f64,
-    );
-    rec.sample(&format!("{prefix}queue.peer_vscc"), s.peer_vscc as f64);
-    rec.sample(&format!("{prefix}queue.peer_commit"), s.peer_commit as f64);
-    rec.sample(&format!("{prefix}queue.osn_cpu"), s.osn_cpu as f64);
-    rec.sample(&format!("{prefix}util.peer_vscc"), s.vscc_util);
-    rec.sample(&format!("{prefix}util.peer_commit"), s.commit_util);
-    rec.sample(&format!("{prefix}inflight.txs"), s.inflight as f64);
-    rec.sample(
-        &format!("{prefix}blocks.cut_per_tick"),
-        s.new_cuts as f64 * cut_scale,
-    );
+fn record_sweep(rec: &mut MetricsRecorder, s: &GaugeSweep, cut_scale: f64) {
+    rec.sample("queue.pool_prep", s.pool_prep as f64);
+    rec.sample("queue.pool_recv", s.pool_recv as f64);
+    rec.sample("queue.peer_endorse", s.peer_endorse as f64);
+    rec.sample("queue.peer_vscc", s.peer_vscc as f64);
+    rec.sample("queue.peer_commit", s.peer_commit as f64);
+    rec.sample("queue.osn_cpu", s.osn_cpu as f64);
+    rec.sample("util.peer_vscc", s.vscc_util);
+    rec.sample("util.peer_commit", s.commit_util);
+    rec.sample("inflight.txs", s.inflight as f64);
+    rec.sample("blocks.cut_per_tick", s.new_cuts as f64 * cut_scale);
 }
 
 /// Closes one health-plane window from a sweep and mirrors the detectors'
-/// state into the live plane's gauges (shard 0 only, same rule as
-/// [`publish_live`]). No-op when the health plane is off.
+/// state into the live plane's gauges. No-op when the health plane is off.
 fn health_close(world: &mut World, s: &GaugeSweep, t_end_s: f64, width_s: f64) {
-    let shard0 = world.shard.as_ref().is_none_or(|sh| sh.shard_id == 0);
     let ObsState { health, live, .. } = &mut world.obs;
     let Some(h) = health.as_mut() else { return };
     h.close_window(&HealthWindow {
@@ -1607,9 +1169,6 @@ fn health_close(world: &mut World, s: &GaugeSweep, t_end_s: f64, width_s: f64) {
         servers: s.servers,
         inflight: s.inflight as f64,
     });
-    if !shard0 {
-        return;
-    }
     if let Some(live) = live {
         for (gauge, sev) in live.health_regime.iter().zip(h.severities()) {
             gauge.set(sev as f64);
@@ -1627,9 +1186,8 @@ fn obs_sample(world: &mut World, k: &mut K) {
     let now = k.now();
     let s = sweep_gauges(world, now);
     publish_live(world, now, &s);
-    let prefix = sweep_prefix(world);
     if let Some(rec) = world.obs.recorder.as_mut() {
-        record_sweep(rec, &s, 1.0, &prefix);
+        record_sweep(rec, &s, 1.0);
         rec.end_tick();
     }
     let period = sample_period_s(world);
@@ -1673,9 +1231,8 @@ fn flush_partial_tick(world: &mut World, horizon: SimTime) {
         return;
     }
     let width = width.min(period);
-    let prefix = sweep_prefix(world);
     if let Some(rec) = world.obs.recorder.as_mut() {
-        record_sweep(rec, &s, period / width, &prefix);
+        record_sweep(rec, &s, period / width);
         rec.end_partial_tick(width);
     }
 }
@@ -1841,7 +1398,7 @@ fn pool_arrival(world: &mut World, k: &mut K, p: usize) {
     // Overload guard: queue cap on the submission station.
     if world.pools[p].in_prep >= world.cfg.cost.client_queue_cap {
         trace.outcome = TxOutcome::OverloadDropped;
-        world.push_trace(trace);
+        world.traces.push(trace);
         world.obs.breakdowns.push(TxStationBreakdown::default());
         if let Some(live) = &world.obs.live {
             live.txs_failed_overload.inc();
@@ -1861,13 +1418,11 @@ fn pool_arrival(world: &mut World, k: &mut K, p: usize) {
     }
 
     let (chaincode, args) = workload_args(world, p, seq);
-    // Round-robin over the *global* channel count: on the sharded engine a
-    // pool's home shard still spreads its transactions over every channel,
-    // exporting the cross-shard ones at proposal-send time.
-    let n_channels = world.total_channels() as u32;
+    // Every pool spreads its transactions round-robin over every channel.
+    let n_channels = world.channel_ids.len() as u32;
     let deployed = world.cfg.endorsing_peers;
-    let gc = (world.pools[p].next_channel % n_channels) as usize;
-    let channel = world.global_channel_id(gc);
+    let c = (world.pools[p].next_channel % n_channels) as usize;
+    let channel = world.channel_ids[c].clone();
     let pool = &mut world.pools[p];
     pool.next_channel = pool.next_channel.wrapping_add(1);
     let proposal = pool.sdk.create_proposal(channel, &chaincode, args);
@@ -1883,7 +1438,7 @@ fn pool_arrival(world: &mut World, k: &mut K, p: usize) {
         .collect();
     if targets.is_empty() {
         trace.outcome = TxOutcome::EndorsementFailed;
-        world.push_trace(trace);
+        world.traces.push(trace);
         world.obs.breakdowns.push(TxStationBreakdown::default());
         if let Some(live) = &world.obs.live {
             live.txs_failed_endorsement.inc();
@@ -1896,7 +1451,7 @@ fn pool_arrival(world: &mut World, k: &mut K, p: usize) {
     }
     let expected = targets.len();
 
-    world.push_trace(trace);
+    world.traces.push(trace);
     world.obs.breakdowns.push(TxStationBreakdown::default());
     world.tx_index.insert(tx_id, seq);
     world.tx_pool.insert(tx_id, p);
@@ -1935,9 +1490,6 @@ fn pool_arrival(world: &mut World, k: &mut K, p: usize) {
         let actor = format!("pool{p}");
         world.emit_span(&tx, SpanKind::ClientPrep, &actor, now, done + sdk_pre, 0, 0);
     }
-    if let Some(ctx) = world.shard.as_mut() {
-        ctx.pending_sends.push(Reverse(done + sdk_pre));
-    }
     k.schedule_labeled(done + sdk_pre, "pool.send", move |w, k| {
         w.pools[p].in_prep -= 1;
         send_proposals(w, k, p, tx_id, targets.clone());
@@ -1946,12 +1498,6 @@ fn pool_arrival(world: &mut World, k: &mut K, p: usize) {
 
 fn send_proposals(world: &mut World, k: &mut K, p: usize, tx_id: TxId, targets: Vec<Principal>) {
     let now = k.now();
-    if let Some(ctx) = world.shard.as_mut() {
-        // Retire this send from the emission-bound heap; `pool.send` events
-        // are never cancelled, so pops line up one-to-one with pushes.
-        let popped = ctx.pending_sends.pop();
-        debug_assert_eq!(popped.map(|r| r.0), Some(now));
-    }
     let Some(pending) = world.pools[p].pending.get(&tx_id) else {
         return;
     };
@@ -1970,52 +1516,6 @@ fn send_proposals(world: &mut World, k: &mut K, p: usize, tx_id: TxId, targets: 
         );
     }
     let bytes = proposal.wire_size();
-    if let Some(target) = world.export_target(&proposal.channel) {
-        // Cross-shard transaction: fan the proposal out through the home
-        // pool's egress link as usual, but hand the resulting arrivals (all
-        // at least one link propagation — the lookahead — in the future) to
-        // the shard that owns the target channel. That shard runs the rest
-        // of the transaction's life; the home copy of the trace becomes a
-        // stub that the deterministic merge replaces with the completed one.
-        let deliveries: Vec<(usize, SimTime)> = targets
-            .iter()
-            .map(|principal| {
-                (
-                    world.peer_of(principal),
-                    world.pools[p].egress.transfer(now, bytes),
-                )
-            })
-            .collect();
-        let Some(at) = deliveries.iter().map(|d| d.1).min() else {
-            return;
-        };
-        let Some(&seq) = world.tx_index.get(&tx_id) else {
-            return;
-        };
-        world.pools[p].pending.remove(&tx_id);
-        let trace = world.traces[seq].clone();
-        let breakdown = world.obs.breakdowns[seq].clone();
-        let expected = targets.len();
-        let Some(ctx) = world.shard.as_mut() else {
-            return;
-        };
-        ctx.exported += 1;
-        let src = (ctx.shard_id as u32, seq as u32);
-        ctx.outbox.push((
-            target,
-            at,
-            ShardMsg::Proposal {
-                src,
-                pool: p,
-                proposal,
-                expected,
-                deliveries,
-                trace,
-                breakdown,
-            },
-        ));
-        return;
-    }
     for principal in targets {
         let peer_idx = world.peer_of(&principal);
         let arrival = world.pools[p].egress.transfer(now, bytes);
@@ -2023,80 +1523,6 @@ fn send_proposals(world: &mut World, k: &mut K, p: usize, tx_id: TxId, targets: 
         k.schedule_labeled(arrival, "peer.endorse", move |w, k| {
             peer_receive_proposal(w, k, peer_idx, p, prop.clone());
         });
-    }
-}
-
-impl ShardWorld for World {
-    type Msg = ShardMsg;
-
-    fn drain_outbox(&mut self) -> Vec<(usize, SimTime, ShardMsg)> {
-        match &mut self.shard {
-            Some(s) => std::mem::take(&mut s.outbox),
-            None => Vec::new(),
-        }
-    }
-
-    fn deliver(&mut self, kernel: &mut K, _at: SimTime, msg: ShardMsg) {
-        // An imported proposal re-creates exactly the client-side state the
-        // local path would have built — a pending entry keyed by tx id, the
-        // trace/breakdown slot, and one endorsement arrival per target peer.
-        // The trace slot is tagged with its home (shard, seq) identity so the
-        // merge can put the completed trace back where the stub lives.
-        let ShardMsg::Proposal {
-            src,
-            pool: p,
-            proposal,
-            expected,
-            deliveries,
-            trace,
-            breakdown,
-        } = msg;
-        let tx_id = proposal.tx_id;
-        let seq = self.traces.len();
-        self.traces.push(trace);
-        self.obs.breakdowns.push(breakdown);
-        if let Some(s) = &mut self.shard {
-            s.trace_src.push(src);
-        }
-        self.tx_index.insert(tx_id, seq);
-        self.tx_pool.insert(tx_id, p);
-        let collector = EndorsementCollector::new(tx_id, self.policy.clone(), expected);
-        self.pools[p].pending.insert(
-            tx_id,
-            PendingTx {
-                proposal: proposal.clone(),
-                collector,
-                envelope: None,
-                timeout_event: None,
-            },
-        );
-        for (peer_idx, at) in deliveries {
-            let prop = proposal.clone();
-            kernel.schedule_labeled(at, "peer.endorse", move |w, k| {
-                peer_receive_proposal(w, k, peer_idx, p, prop.clone());
-            });
-        }
-    }
-
-    fn emission_bound(&self, next_event: SimTime) -> Option<SimTime> {
-        // Cross-shard messages leave this world only inside `pool.send`
-        // handlers (see the outbox push in `send_proposals`), and a
-        // `pool.send` is always scheduled at least `min_send_delay` after
-        // the (home-pool arrival) event that creates it. Incoming proposals
-        // only ever schedule endorsement work, which cannot emit — so the
-        // bound holds against every future, which is what lets other shards
-        // run `bound + lookahead` ahead instead of one link delay.
-        let ctx = self.shard.as_ref()?;
-        let pending = ctx
-            .pending_sends
-            .peek()
-            .map_or(SimTime::MAX, |Reverse(t)| *t);
-        let from_next = if next_event == SimTime::MAX {
-            SimTime::MAX
-        } else {
-            next_event + ctx.min_send_delay
-        };
-        Some(pending.min(from_next))
     }
 }
 
@@ -2414,7 +1840,7 @@ fn apply_osn_effects(world: &mut World, k: &mut K, o: usize, ch: usize, effects:
                 let arrival = world.osns[o].egress.transfer(now, bytes);
                 let from = o as u32;
                 if world.obs.spans.enabled() {
-                    let trace = format!("ch{}", world.global_ch(ch));
+                    let trace = format!("ch{ch}");
                     let actor = format!("osn{o}>osn{to}");
                     world.emit_msg_span(&trace, SpanKind::RaftMsg, &actor, now, arrival);
                 }
@@ -2436,7 +1862,7 @@ fn apply_osn_effects(world: &mut World, k: &mut K, o: usize, ch: usize, effects:
                 let bytes = broker_msg_bytes(&message);
                 let arrival = world.osns[o].egress.transfer(now, bytes);
                 if world.obs.spans.enabled() {
-                    let trace = format!("ch{}", world.global_ch(ch));
+                    let trace = format!("ch{ch}");
                     let actor = format!("osn{o}>broker{to}");
                     world.emit_msg_span(&trace, SpanKind::KafkaProduce, &actor, now, arrival);
                 }
@@ -2515,7 +1941,7 @@ fn deliver_block(world: &mut World, k: &mut K, o: usize, block: Block) {
         }
         if world.obs.spans.enabled() {
             // Zero-width anchor: the instant the block exists as an artifact.
-            let trace = block_trace(world.global_ch(ch), block.header.number);
+            let trace = block_trace(ch, block.header.number);
             let actor = format!("osn{o}");
             world.emit_span(&trace, SpanKind::BlockCut, &actor, now, now, 0, 0);
         }
@@ -2526,7 +1952,7 @@ fn deliver_block(world: &mut World, k: &mut K, o: usize, block: Block) {
         .obs
         .spans
         .enabled()
-        .then(|| block_trace(world.global_ch(ch), block.header.number));
+        .then(|| block_trace(ch, block.header.number));
     for peer_idx in subscribers {
         let arrival = world.osns[o].egress.transfer(now, bytes);
         if let Some(trace) = &btrace {
@@ -2579,7 +2005,7 @@ fn apply_gossip_effects(world: &mut World, k: &mut K, peer_idx: usize, effects: 
                         // peer, parent the hop (or orderer delivery) that
                         // brought the block to the sender.
                         if let Ok(ch) = world.channel_index(&block.channel) {
-                            let trace = block_trace(world.global_ch(ch), block.header.number);
+                            let trace = block_trace(ch, block.header.number);
                             let actor = format!("peer{to}");
                             let sender = format!("peer{peer_idx}");
                             let parent = if *hop > 1 {
@@ -2659,7 +2085,7 @@ fn enqueue_block_validation(world: &mut World, k: &mut K, peer_idx: usize, block
         // Deliver span). Orderer subscribers already have a real one with
         // the same deterministic id — the analyzer dedups, keeping the
         // earlier real span.
-        let trace = block_trace(world.global_ch(ch), block.header.number);
+        let trace = block_trace(ch, block.header.number);
         let actor = format!("peer{peer_idx}");
         world.emit_span(&trace, SpanKind::Deliver, &actor, now, now, 0, 0);
     }
@@ -2819,7 +2245,7 @@ fn commit_block(
         // — at commit time, not when validation was enqueued — so the span
         // graph only ever contains finished work and every Commit span has a
         // matching TxTrace commit stamp.
-        let trace_b = block_trace(world.global_ch(ch), number);
+        let trace_b = block_trace(ch, number);
         let actor = format!("peer{peer_idx}");
         let deliver_parent = span_id(&trace_b, SpanKind::Deliver, &actor, 0);
         for (i, tx_id) in tx_ids.iter().enumerate() {
@@ -2993,7 +2419,7 @@ fn apply_broker_effects(
                 let o = to as usize;
                 if world.obs.spans.enabled() {
                     if let ClientEvent::ConsumeBatch { .. } = &event {
-                        let trace = format!("ch{}", world.global_ch(ch));
+                        let trace = format!("ch{ch}");
                         let actor = format!("broker{b}>osn{o}");
                         world.emit_msg_span(&trace, SpanKind::KafkaConsume, &actor, now, arrival);
                     }
@@ -3213,29 +2639,12 @@ mod tests {
     #[test]
     fn unknown_channel_is_a_typed_error() {
         let cfg = quick_cfg(OrdererType::Solo);
-        let world = build_world(&cfg, None, None);
+        let world = build_world(&cfg, None);
         assert!(world.channel_index(&ChannelId::default_channel()).is_ok());
         let err = world
             .channel_index(&ChannelId("no-such-channel".into()))
             .unwrap_err();
         assert_eq!(err.to_string(), "unknown channel `no-such-channel`");
-    }
-
-    #[test]
-    fn sharded_single_channel_commits() {
-        let mut cfg = quick_cfg(OrdererType::Solo);
-        cfg.sim_workers = 1;
-        let r = Simulation::new(cfg).run_detailed();
-        assert!(
-            r.chain_ok,
-            "observer chain must verify on the sharded engine"
-        );
-        assert!(r.observer_height > 0);
-        let tput = r.summary.committed_tps();
-        assert!(
-            (50.0..70.0).contains(&tput),
-            "sharded solo committed {tput} tps at 60 offered"
-        );
     }
 
     #[test]
@@ -3275,23 +2684,10 @@ mod tests {
     }
 
     #[test]
-    fn sharded_multi_channel_worker_count_invariance() {
+    fn validate_rejects_the_removed_sharded_engine() {
         let mut cfg = quick_cfg(OrdererType::Solo);
-        cfg.channels = 4;
-        cfg.endorsing_peers = 4;
-        cfg.policy = PolicySpec::OrN(4);
         cfg.sim_workers = 1;
-        let a = Simulation::new(cfg.clone()).run_detailed();
-        cfg.sim_workers = 4;
-        let b = Simulation::new(cfg).run_detailed();
-        assert!(a.chain_ok && b.chain_ok);
-        assert!(
-            a.summary.committed_valid > 0,
-            "multi-channel run must commit"
-        );
-        assert_eq!(a.summary.to_json(), b.summary.to_json());
-        assert_eq!(a.final_state, b.final_state);
-        assert_eq!(a.block_cuts, b.block_cuts);
-        assert_eq!(a.traces.len(), b.traces.len());
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("sharded engine was removed"), "{err}");
     }
 }

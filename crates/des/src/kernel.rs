@@ -287,74 +287,6 @@ impl<W> Kernel<W> {
         self.now
     }
 
-    /// The virtual time of the earliest *live* pending event, purging any
-    /// cancelled tombstones sitting at the top of the heap on the way.
-    /// Returns `None` when nothing live is pending. Purging is observable
-    /// only through [`Kernel::pending`]; execution order is unaffected.
-    pub fn next_event_time(&mut self) -> Option<SimTime> {
-        while let Some(head) = self.heap.peek() {
-            if !self.cancelled.contains(&head.id) {
-                return Some(head.time);
-            }
-            if let Some(ev) = self.heap.pop() {
-                self.cancelled.remove(&ev.id);
-            }
-        }
-        None
-    }
-
-    /// Runs every pending event with `time < limit`, leaving later events in
-    /// the heap, and returns how many were executed. The clock stays at the
-    /// last executed event (it does **not** jump to `limit`), so events
-    /// delivered into the window gap afterwards can still be scheduled.
-    ///
-    /// This is the building block of conservative windowed execution
-    /// ([`crate::ShardedKernel`]): virtual-time semantics are identical to
-    /// [`Kernel::run`] restricted to the window. When the self-profiler is on,
-    /// host time is accumulated across windows so the per-label totals still
-    /// sum to the loop wall time.
-    pub fn run_until(&mut self, world: &mut W, limit: SimTime) -> u64 {
-        let profiling = self.profiler.is_some();
-        // lint:allow(no-wall-clock) -- kernel self-profiler window timing (write-only
-        // with respect to the simulation; see crates/des/src/profiler.rs).
-        let loop_start = profiling.then(Instant::now);
-        let mut executed = 0;
-        loop {
-            let head_runs = match self.heap.peek() {
-                Some(head) => head.time < limit,
-                None => false,
-            };
-            if !head_runs {
-                break;
-            }
-            // lint:allow(no-wall-clock) -- kernel self-profiler heap timing (write-only).
-            let pop_start = profiling.then(Instant::now);
-            let popped = self.heap.pop();
-            if let (Some(p), Some(t0)) = (self.profiler.as_mut(), pop_start) {
-                p.record_heap(elapsed_ns(t0));
-            }
-            let Some(ev) = popped else { break };
-            debug_assert!(ev.time >= self.now, "event heap produced time regression");
-            self.now = ev.time;
-            if self.cancelled.remove(&ev.id) {
-                continue;
-            }
-            self.stats.executed += 1;
-            executed += 1;
-            // lint:allow(no-wall-clock) -- kernel self-profiler dispatch timing
-            // (write-only).
-            let run_start = profiling.then(Instant::now);
-            (ev.run)(world, self);
-            if let (Some(p), Some(t0)) = (self.profiler.as_mut(), run_start) {
-                p.record_handler(ev.label, elapsed_ns(t0));
-            }
-        }
-        if let (Some(p), Some(t0)) = (self.profiler.as_mut(), loop_start) {
-            p.record_loop(elapsed_ns(t0));
-        }
-        executed
-    }
-
     /// Runs at most `n` events; returns how many were executed. Useful for
     /// stepping a simulation in tests.
     pub fn step(&mut self, world: &mut W, n: u64) -> u64 {

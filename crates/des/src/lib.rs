@@ -42,7 +42,6 @@ mod kernel;
 mod link;
 mod profiler;
 mod rng;
-mod sharded;
 mod station;
 mod time;
 
@@ -50,6 +49,5 @@ pub use kernel::{EventId, Kernel, KernelStats};
 pub use link::Link;
 pub use profiler::{KernelProfile, LabelProfile};
 pub use rng::RngStream;
-pub use sharded::{ShardWorld, ShardedKernel, ShardedRunReport};
 pub use station::Station;
 pub use time::{SimDuration, SimTime};

@@ -172,30 +172,6 @@ impl KernelProfile {
         out
     }
 
-    /// Merges `other` into `self`, label-wise: per-label counts and
-    /// nanoseconds add, heap and overhead add, and the loop wall adds, so the
-    /// accounting identity `attributed_ns() == loop_ns` survives merging.
-    /// This is how the per-shard profiles of a sharded run are rolled into
-    /// one whole-run profile: the merged loop wall is the *summed* per-shard
-    /// loop wall (total host CPU inside event loops), not elapsed time.
-    pub fn absorb(&mut self, other: &KernelProfile) {
-        for e in &other.entries {
-            match self.entries.iter_mut().find(|m| m.label == e.label) {
-                Some(m) => {
-                    m.count += e.count;
-                    m.ns += e.ns;
-                }
-                None => self.entries.push(e.clone()),
-            }
-        }
-        self.entries
-            .sort_by(|a, b| b.ns.cmp(&a.ns).then(a.label.cmp(&b.label)));
-        self.heap_ns += other.heap_ns;
-        self.heap_ops += other.heap_ops;
-        self.overhead_ns += other.overhead_ns;
-        self.loop_ns += other.loop_ns;
-    }
-
     /// Compact JSON rendering (stable key order).
     #[must_use]
     pub fn to_json(&self) -> String {

@@ -113,7 +113,8 @@ impl RuleId {
             }
             RuleId::NoThreadIdentity => {
                 "thread::current()/ThreadId in sim-critical crates lets results depend on which \
-                 OS thread ran a shard; sharded runs must be worker-count-invariant"
+                 OS thread of the VSCC worker pool ran a check; validation must be \
+                 pool-size-invariant"
             }
             RuleId::AtomicsOrderingAnnotated => {
                 "every Ordering::Relaxed needs a written justification: a `// relaxed: <why>` \
@@ -130,12 +131,12 @@ impl RuleId {
             }
             RuleId::PanicPath => {
                 "a panic site (panic!/unreachable!/todo!/unimplemented! or indexing) is \
-                 reachable from a DES event handler or ShardWorld::deliver; a poisoned \
-                 message must surface as an error, not abort a shard mid-window"
+                 reachable from a DES event handler; a poisoned message must surface as an \
+                 error, not abort the event loop mid-run"
             }
             RuleId::LockOrder => {
                 "two mutexes are acquired in opposite orders somewhere in the workspace, \
-                 which can deadlock the sharded kernel's worker pool"
+                 which can deadlock the VSCC worker pool or the metrics exporter"
             }
             RuleId::RelaxedNoteOnOperation => {
                 "a Relaxed atomic is annotated, but its `// relaxed:` note does not sit on \

@@ -15,7 +15,7 @@
 //! * `mod name { … }` nesting (module path segments) and `mod name;` file
 //!   modules;
 //! * `impl Type { … }` / `impl Trait for Type { … }` (the trait name is kept
-//!   — the panic-path pass roots on `ShardWorld::deliver` impls);
+//!   on every fn of a trait impl);
 //! * `fn` items at any nesting depth, with `pub`-ness, `#[cfg(test)]` /
 //!   `#[test]` containment, and the token range of the body;
 //! * call sites: `free_fn(…)`, `path::to::fn(…)`, `Type::assoc(…)`,
@@ -717,11 +717,11 @@ mod tests {
 
     #[test]
     fn trait_impls_carry_the_trait_name() {
-        let a = ast("impl ShardWorld for EchoWorld {\n    fn deliver(&mut self) {}\n}\n");
+        let a = ast("impl Handler for EchoWorld {\n    fn deliver(&mut self) {}\n}\n");
         let f = &a.fns[0];
         assert_eq!(f.name, "deliver");
         assert_eq!(f.self_ty.as_deref(), Some("EchoWorld"));
-        assert_eq!(f.trait_name.as_deref(), Some("ShardWorld"));
+        assert_eq!(f.trait_name.as_deref(), Some("Handler"));
     }
 
     #[test]

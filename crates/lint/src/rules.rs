@@ -219,9 +219,9 @@ pub(crate) fn suggestion_for(rule: RuleId) -> Option<String> {
             "model delays as simulated time (schedule a DES event); never block the host thread"
         }
         RuleId::NoThreadIdentity => {
-            "key per-shard state by shard index (passed in at spawn), never by the OS thread \
-             that happens to run it; lint:allow only with a proof the identity cannot reach \
-             simulation state"
+            "key per-worker state by the work item's index (passed in at spawn), never by the \
+             OS thread that happens to run it; lint:allow only with a proof the identity cannot \
+             reach simulation state"
         }
         RuleId::AtomicsOrderingAnnotated => {
             "justify the relaxed ordering with a `// relaxed: <why>` note on the operation \
@@ -328,9 +328,10 @@ fn no_thread_sleep(scan: &Scanner<'_>, ctx: &FileContext, out: &mut Vec<Diagnost
 }
 
 /// `thread::current()` or the `ThreadId` type in sim-critical crates. The
-/// sharded kernel multiplexes shards onto an arbitrary number of OS threads;
-/// anything keyed on thread identity would make results depend on the worker
-/// count, breaking the byte-identical-at-any-worker-count contract.
+/// peer's VSCC worker pool fans a block's checks out over an arbitrary
+/// number of OS threads; anything keyed on thread identity would make the
+/// validation flags depend on the pool size, breaking the
+/// byte-identical-at-any-pool-size contract.
 fn no_thread_identity(scan: &Scanner<'_>, ctx: &FileContext, out: &mut Vec<Diagnostic>) {
     for i in 0..scan.toks.len() {
         if scan.in_test[i] {

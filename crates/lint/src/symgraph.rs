@@ -571,13 +571,13 @@ mod tests {
     #[test]
     fn qualified_display_path() {
         let (_f, g) = graph(&[(
-            "crates/des/src/sharded.rs",
+            "crates/des/src/kernel.rs",
             "impl Kernel {\n    pub fn run(&mut self) {}\n}\n",
         )]);
         let run = id_of(&g, "run");
         assert_eq!(
             g.symbols[run].qualified(),
-            "fabricsim_des::sharded::Kernel::run"
+            "fabricsim_des::kernel::Kernel::run"
         );
     }
 }

@@ -8,7 +8,7 @@
 //!   crate calls into, reporting the full call chain.
 //! * **panic-path audit** — `panic!`-family macros, `unwrap`/`expect`, and
 //!   (directly in handlers) indexing, reachable from DES event handlers —
-//!   fns that schedule kernel events or implement `ShardWorld::deliver`.
+//!   fns that schedule kernel events.
 //!   Sites already audited with a justified `lint:allow(no-unwrap-in-lib)`
 //!   are skipped silently: they were counted by the token rule's ledger.
 //! * **lock-order** — mutexes acquired in opposite orders in two places.
@@ -330,7 +330,7 @@ fn panic_sites(pf: &ParsedFile, body: (usize, usize)) -> Vec<PanicSite> {
             out.push(PanicSite {
                 line: t.line,
                 col: t.col,
-                what: format!("`{}!` aborts the shard", t.text),
+                what: format!("`{}!` aborts the event loop", t.text),
                 is_indexing: false,
             });
             continue;
@@ -409,20 +409,19 @@ fn index_is_plain_path(toks: &[&Token], open: usize) -> bool {
 
 /// Forward BFS from DES handler roots; reports reachable panic sites.
 fn panic_path(files: &[ParsedFile], graph: &SymbolGraph, out: &mut Vec<Diagnostic>) {
-    // Roots: ShardWorld impl methods and fns that schedule kernel events —
-    // in sim-critical crates only, outside tests.
+    // Roots: fns that schedule kernel events — in sim-critical crates only,
+    // outside tests.
     let mut roots = Vec::new();
     for (id, s) in graph.symbols.iter().enumerate() {
         if s.in_test || !crate::rules::SIM_CRITICAL_CRATES.contains(&s.krate.as_str()) {
             continue;
         }
         let decl = &files[s.file_idx].ast.fns[s.fn_idx];
-        let is_deliver = s.trait_name.as_deref() == Some("ShardWorld");
         let schedules = decl
             .calls
             .iter()
             .any(|c| c.is_method && SCHEDULE_METHODS.contains(&c.path[0].as_str()));
-        if is_deliver || schedules {
+        if schedules {
             roots.push(id);
         }
     }
@@ -474,13 +473,8 @@ fn panic_path(files: &[ParsedFile], graph: &SymbolGraph, out: &mut Vec<Diagnosti
                 file: root.file.clone(),
                 line: root.line,
                 message: format!(
-                    "`{}` is a DES event handler ({})",
-                    root.qualified(),
-                    if root.trait_name.as_deref() == Some("ShardWorld") {
-                        "implements ShardWorld::deliver"
-                    } else {
-                        "schedules kernel events"
-                    }
+                    "`{}` is a DES event handler (schedules kernel events)",
+                    root.qualified()
                 ),
             }];
             for w in chain.windows(2) {
@@ -772,9 +766,9 @@ mod tests {
     fn panic_reachable_from_deliver_is_reported_with_chain() {
         let diags = run(&[(
             "crates/core/src/world.rs",
-            "impl ShardWorld for World {\n\
-             \x20   fn deliver(&mut self, at: u64, msg: u64) {\n\
-             \x20       step(msg);\n\
+            "impl World {\n\
+             \x20   fn deliver(&mut self, k: &mut Kernel, msg: u64) {\n\
+             \x20       step(msg); k.schedule_in(1, move || next(msg));\n\
              \x20   }\n\
              }\n\
              fn step(m: u64) {\n\
@@ -792,7 +786,7 @@ mod tests {
         let d = panics[0];
         assert_eq!(d.line, 10);
         assert!(d.message.contains("deliver"));
-        assert!(d.notes[0].message.contains("ShardWorld::deliver"));
+        assert!(d.notes[0].message.contains("schedules kernel events"));
         assert!(d.notes.iter().any(|n| n.message.contains("helper")));
     }
 
@@ -821,10 +815,10 @@ mod tests {
     fn unwrap_with_justified_allow_is_silently_audited() {
         let diags = run(&[(
             "crates/core/src/world.rs",
-            "impl ShardWorld for World {\n\
-             \x20   fn deliver(&mut self, at: u64, msg: u64) {\n\
+            "impl World {\n\
+             \x20   fn deliver(&mut self, k: &mut Kernel, msg: u64) {\n\
              \x20       // lint:allow(no-unwrap-in-lib) -- queue is non-empty: pushed above\n\
-             \x20       self.q.pop().unwrap();\n\
+             \x20       self.q.pop().unwrap(); k.schedule_in(1, move || next(msg));\n\
              \x20   }\n\
              }\n",
         )]);

@@ -1,7 +1,8 @@
-/// Per-shard state is keyed by the shard index assigned at spawn time, so
-/// results cannot depend on which OS thread runs the shard.
-pub fn shard_key(shard_index: usize) -> usize {
-    shard_index
+/// Per-worker state is keyed by the transaction index assigned at spawn
+/// time, so results cannot depend on which OS thread of the VSCC worker pool
+/// runs the check.
+pub fn check_key(tx_index: usize) -> usize {
+    tx_index
 }
 
 pub fn run_scoped(f: impl FnOnce() + Send) {

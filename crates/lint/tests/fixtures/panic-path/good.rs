@@ -1,9 +1,8 @@
 // Clean twin of bad.rs: the helper returns an Option instead of unwrapping,
 // so no panic site is reachable from the handler.
-impl ShardWorld for World {
-    fn deliver(&mut self, at: u64, ev: u64) {
-        route(ev);
-    }
+fn deliver(world: &mut World, k: &mut Kernel, ev: u64) {
+    route(ev);
+    k.schedule_in(1, move |w, k| deliver(w, k, ev + 1));
 }
 
 fn route(ev: u64) {

@@ -25,8 +25,8 @@
 //!
 //! The engine consumes parsed [`Json`] values, so it accepts any artifact the
 //! stack emits without a per-type Rust decoder: the flat run summary, the
-//! (possibly combined) `analyze --json` document, `profile --json` (merged +
-//! per-shard), and schema-v2+ bench reports. Health timelines are the one
+//! (possibly combined) `analyze --json` document, `profile --json`, and
+//! schema-v2+ bench reports. Health timelines are the one
 //! exception: they are JSONL (one object per line, so `Json::parse` on the
 //! whole file fails) and are recognized by [`HealthReport::sniff`] before the
 //! JSON parser runs, then decoded with [`HealthReport::from_jsonl`].
@@ -47,7 +47,7 @@ pub enum ArtifactKind {
     /// An `analyze --json` document: trace analysis, span-graph analysis, or
     /// the combined form holding both.
     Analysis,
-    /// A `profile --json` document (merged kernel profile + optional shards).
+    /// A `profile --json` document (the kernel profile under `merged`).
     Profile,
     /// A `bench` report (`BENCH_fabricsim.json`, schema v2+).
     Bench,
@@ -130,7 +130,7 @@ impl TelescopeCheck {
 }
 
 /// One comparable slice of an artifact pair (e.g. "trace segments",
-/// "kernel profile (shard 2)").
+/// "kernel profile").
 #[derive(Debug, Clone, Default)]
 pub struct DiffSection {
     /// Human-readable section title.
@@ -143,7 +143,7 @@ pub struct DiffSection {
     /// Telescoping-delta checks for this section's decompositions.
     pub telescopes: Vec<TelescopeCheck>,
     /// Asymmetries that prevented a comparison (metric only on one side,
-    /// mismatched shard counts, …).
+    /// handler only in one profile, …).
     pub notes: Vec<String>,
 }
 
@@ -929,37 +929,13 @@ fn profile_section(title: &str, pa: &Json, pb: &Json) -> DiffSection {
 }
 
 fn profile_sections(a: &Json, b: &Json) -> Vec<DiffSection> {
-    let merged = |j: &Json| match j.get("merged") {
+    // `profile --json` nests the profile under `merged`; a bare profile
+    // object diffs as is.
+    let profile = |j: &Json| match j.get("merged") {
         Some(m @ Json::Obj(_)) => m.clone(),
         _ => j.clone(),
     };
-    let mut out = vec![profile_section(
-        "kernel profile (merged)",
-        &merged(a),
-        &merged(b),
-    )];
-    fn shards(j: &Json) -> &[Json] {
-        j.get("shards").and_then(Json::as_array).unwrap_or_default()
-    }
-    let (sa, sb) = (shards(a), shards(b));
-    if sa.len() == sb.len() {
-        for (i, (pa, pb)) in sa.iter().zip(sb.iter()).enumerate() {
-            out.push(profile_section(
-                &format!("kernel profile (shard {i})"),
-                pa,
-                pb,
-            ));
-        }
-    } else if !sa.is_empty() || !sb.is_empty() {
-        let mut sec = DiffSection::new("kernel profile (shards)");
-        sec.notes.push(format!(
-            "shard count differs (A has {}, B has {}); per-shard profiles not compared",
-            sa.len(),
-            sb.len()
-        ));
-        out.push(sec);
-    }
-    out
+    vec![profile_section("kernel profile", &profile(a), &profile(b))]
 }
 
 /// A scenario metric that is a plain number in schema v2 and a
@@ -1264,7 +1240,7 @@ mod tests {
     }
 
     #[test]
-    fn profile_diffs_merged_and_shards() {
+    fn profile_diffs_the_merged_profile() {
         let p = |ns_a: u64, ns_b: u64| {
             // The profiler sorts entries hottest-first; the fixture must too.
             let (l1, n1, l2, n2) = if ns_a >= ns_b {
@@ -1275,23 +1251,20 @@ mod tests {
             format!(
                 "{{\"seed\":42,\"config_digest\":\"cccc\",\"merged\":{{\"loop_ns\":{t},\"heap_ns\":10,\"heap_ops\":4,\
                  \"overhead_ns\":0,\"attributed_ns\":{t},\"entries\":[\
-                 {{\"label\":\"{l1}\",\"count\":3,\"ns\":{n1}}},{{\"label\":\"{l2}\",\"count\":2,\"ns\":{n2}}}]}},\
-                 \"shards\":[{{\"loop_ns\":{t},\"heap_ns\":10,\"heap_ops\":4,\"overhead_ns\":0,\
-                 \"attributed_ns\":{t},\"entries\":[{{\"label\":\"{l1}\",\"count\":3,\"ns\":{n1}}}]}}]}}",
+                 {{\"label\":\"{l1}\",\"count\":3,\"ns\":{n1}}},{{\"label\":\"{l2}\",\"count\":2,\"ns\":{n2}}}]}}}}",
                 t = ns_a + ns_b
             )
         };
         let d = ArtifactDiff::from_json_strs(&p(100, 50), &p(40, 90)).expect("diffs");
         assert_eq!(d.kind, ArtifactKind::Profile);
         assert_eq!(d.digest_match, Some(true));
-        assert_eq!(d.sections.len(), 2, "merged + one shard");
-        // The hottest handler flipped in the merged profile and in the shard.
+        assert_eq!(d.sections.len(), 1);
+        assert_eq!(d.sections[0].title, "kernel profile");
+        // The hottest handler flipped.
         let shifts: Vec<&Shift> = d.shifts().collect();
-        assert_eq!(shifts.len(), 2);
-        for s in &shifts {
-            assert_eq!(s.dimension, "profile.hottest_handler");
-            assert_eq!((s.a.as_str(), s.b.as_str()), ("a", "b"));
-        }
+        assert_eq!(shifts.len(), 1);
+        assert_eq!(shifts[0].dimension, "profile.hottest_handler");
+        assert_eq!((shifts[0].a.as_str(), shifts[0].b.as_str()), ("a", "b"));
     }
 
     #[test]

@@ -156,26 +156,6 @@ impl LogHistogram {
         };
         mid.clamp(self.min, self.max)
     }
-
-    /// Merges another histogram with identical configuration.
-    ///
-    /// # Panics
-    /// Panics if the configurations differ.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        assert!(
-            self.lo == other.lo
-                && self.growth == other.growth
-                && self.counts.len() == other.counts.len(),
-            "cannot merge histograms with different bucket layouts"
-        );
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 #[cfg(test)]
@@ -250,29 +230,6 @@ mod tests {
         assert_eq!(h.max(), 1e9);
         // p100 clamps to the exact max even though the bucket saturates.
         assert_eq!(h.quantile(1.0), 1e9);
-    }
-
-    #[test]
-    fn merge_combines_counts_and_extremes() {
-        let mut a = LogHistogram::new(1e-3, 100.0, 10);
-        let mut b = a.clone();
-        a.record(0.5);
-        b.record(2.0);
-        b.record(8.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.min(), 0.5);
-        assert_eq!(a.max(), 8.0);
-        let mid = a.quantile(0.5);
-        assert!(mid > 0.5 && mid < 8.0, "median {mid} between extremes");
-    }
-
-    #[test]
-    #[should_panic(expected = "different bucket layouts")]
-    fn merge_rejects_mismatched_layouts() {
-        let mut a = LogHistogram::new(1e-3, 100.0, 10);
-        let b = LogHistogram::new(1e-3, 100.0, 20);
-        a.merge(&b);
     }
 
     #[test]

@@ -168,8 +168,8 @@ pub struct HealthEvent {
     pub t_s: f64,
     /// Event category.
     pub kind: HealthEventKind,
-    /// Channel the emitting engine watches (shard id on sharded runs, 0 on
-    /// the serial engine's whole-world aggregate).
+    /// Channel the emitting engine watches (0: the engine aggregates the
+    /// whole world).
     pub channel: u32,
     /// Station the event concerns (`"-"` for channel-level events).
     pub station: String,
@@ -435,8 +435,7 @@ impl StationDetector {
     }
 }
 
-/// The streaming health engine: one per event-loop world (the whole run on
-/// the serial engine, one per channel shard on the sharded engine).
+/// The streaming health engine: one per run, watching the whole world.
 ///
 /// Drive it with [`OnlineHealth::observe_completion`] on every committed
 /// transaction and [`OnlineHealth::close_window`] on every sampler tick,
@@ -826,9 +825,10 @@ pub struct HealthReport {
     pub horizon_s: f64,
     /// Latency objective the burn tracker measured against, seconds.
     pub slo_p99_s: f64,
-    /// Number of per-channel engines merged into this report.
+    /// Number of health engines behind this report (a run has one, which
+    /// aggregates every channel).
     pub channels: u32,
-    /// Total windows closed across all engines.
+    /// Total windows closed.
     pub windows: u64,
     /// Committed transactions observed.
     pub completions: u64,
@@ -849,34 +849,8 @@ pub struct HealthReport {
 }
 
 impl HealthReport {
-    /// Merges another engine's report into this one (sharded runs merge
-    /// per-shard reports in shard order, then call
-    /// [`HealthReport::sort_events`] once).
-    pub fn merge(&mut self, mut other: HealthReport) {
-        debug_assert!(
-            self.window_s.to_bits() == other.window_s.to_bits(),
-            "merging health reports with different window widths"
-        );
-        self.horizon_s = if other.horizon_s > self.horizon_s {
-            other.horizon_s
-        } else {
-            self.horizon_s
-        };
-        self.channels += other.channels;
-        self.windows += other.windows;
-        self.completions += other.completions;
-        self.slo_violations += other.slo_violations;
-        self.burn_windows += other.burn_windows;
-        self.max_burn = self.max_burn.max(other.max_burn);
-        self.dropped_events += other.dropped_events;
-        self.events.append(&mut other.events);
-        self.stations.append(&mut other.stations);
-    }
-
-    /// Restores canonical event order after merging: `(t_s, channel)`,
-    /// stable, so same-window events keep each engine's deterministic
-    /// emission order and the merged stream is identical at every worker
-    /// count.
+    /// Puts events in canonical `(t_s, channel)` order; the sort is stable,
+    /// so same-window events keep their deterministic emission order.
     pub fn sort_events(&mut self) {
         self.events
             .sort_by(|a, b| a.t_s.total_cmp(&b.t_s).then(a.channel.cmp(&b.channel)));
@@ -1366,30 +1340,6 @@ mod tests {
         assert!(HealthReport::from_jsonl(&twice)
             .expect_err("concatenated")
             .contains("after the health_summary"));
-    }
-
-    #[test]
-    fn merge_is_canonical() {
-        let mk = |channel: u32, util: f64| {
-            let mut h = OnlineHealth::new(channel, 1.0, HealthConfig::default());
-            drive(&mut h, 4, 3, util, 0.0);
-            h.finish(4.0);
-            h.into_report()
-        };
-        let a = mk(0, 10.0);
-        let b = mk(1, 10.0);
-        let mut merged = a.clone();
-        merged.merge(b.clone());
-        merged.sort_events();
-        assert_eq!(merged.channels, 2);
-        assert_eq!(merged.windows, a.windows + b.windows);
-        assert_eq!(merged.stations.len(), 12);
-        // Same-timestamp events order by channel.
-        let ts: Vec<(f64, u32)> = merged.events.iter().map(|e| (e.t_s, e.channel)).collect();
-        let mut sorted = ts.clone();
-        sorted.sort_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
-        assert_eq!(ts, sorted);
-        assert!(merged.telescoping_error() < 1e-9);
     }
 
     #[test]

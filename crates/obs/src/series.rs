@@ -185,34 +185,6 @@ impl MetricsRecorder {
         }
     }
 
-    /// Appends every series of `other` into this recorder, preserving
-    /// `other`'s first-touch order. Used to merge the per-shard recorders of
-    /// a sharded run into one rectangular table: shards sample on the same
-    /// virtual cadence, so the merged table stays aligned.
-    ///
-    /// Series names must be disjoint (shard recorders prefix theirs with
-    /// `ch{c}.`); a duplicate name is skipped under a debug assertion.
-    ///
-    /// # Panics
-    /// Panics (debug builds) when the cadence or tick counts disagree.
-    pub fn absorb(&mut self, other: &MetricsRecorder) {
-        debug_assert!(
-            self.period_s.to_bits() == other.period_s.to_bits(),
-            "absorb: sampler cadence mismatch ({} vs {})",
-            self.period_s,
-            other.period_s
-        );
-        debug_assert_eq!(self.ticks, other.ticks, "absorb: tick count mismatch");
-        for s in &other.series {
-            if self.index.contains_key(&s.name) {
-                debug_assert!(false, "absorb: duplicate series `{}`", s.name);
-                continue;
-            }
-            self.index.insert(s.name.clone(), self.series.len());
-            self.series.push(s.clone());
-        }
-    }
-
     /// All series, in first-touch order.
     pub fn series(&self) -> &[TimeSeries] {
         &self.series
