@@ -94,15 +94,15 @@ fn main() {
         (rep.committed_valid, rep.committed_invalid)
     });
 
-    // Observability overhead gate: the same smoke run with tracing off
+    // Observability overhead gate: the same smoke run with span tracing off
     // (default) vs. on. The "off" number must match the pre-obs baseline
-    // within noise; the "on" number quantifies the cost of full event capture.
+    // within noise; the "on" number quantifies the cost of full span capture.
     r.bench("obs_overhead/smoke_tracing_off", || {
         run(smoke_cfg(OrdererType::Solo, PolicySpec::OrN(10), 200.0))
     });
     r.bench("obs_overhead/smoke_tracing_on", || {
         let mut cfg = smoke_cfg(OrdererType::Solo, PolicySpec::OrN(10), 200.0);
-        cfg.obs.trace_events = true;
+        cfg.obs.span_events = true;
         Simulation::new(cfg).run_detailed().summary.committed_tps()
     });
 }

@@ -256,26 +256,12 @@ fn bench_des_kernel(r: &mut Runner) {
         k.schedule(SimTime::ZERO, step);
         k.run(&mut count);
     });
-    // The observability acceptance gate: a station submit loop must cost the
-    // same whether or not a (disabled) tracer check guards each submission.
+    // The FIFO station submit every simulated CPU visit goes through.
     r.bench("des/station_submit_10k_untraced", || {
         let mut s = Station::new("bench", 2);
         let d = SimDuration::from_micros(3);
         for i in 0..10_000u64 {
             s.submit(SimTime::from_nanos(i * 1_000), d);
-        }
-        s.jobs()
-    });
-    r.bench("des/station_submit_10k_disabled_tracer", || {
-        let sink = fabricsim_obs::EventSink::disabled();
-        let mut s = Station::new("bench", 2);
-        let d = SimDuration::from_micros(3);
-        for i in 0..10_000u64 {
-            let now = SimTime::from_nanos(i * 1_000);
-            s.submit(now, d);
-            if sink.enabled() {
-                unreachable!("sink is disabled");
-            }
         }
         s.jobs()
     });

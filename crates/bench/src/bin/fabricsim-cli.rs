@@ -9,22 +9,20 @@
 //! Several subcommands ride along:
 //!
 //! ```text
-//!   fabricsim analyze [--trace FILE] [--spans FILE] [--health FILE]
-//!            [--top K] [--json] [--chrome-out FILE] [--flame-out FILE]
-//!       offline analysis of run artifacts. --trace (a --trace-out JSONL
-//!       file) gives per-segment latency decomposition (queue vs service),
-//!       critical-path dominance histogram, top-K slowest transaction
-//!       waterfalls; --spans (a --span-out JSONL file) gives the causal
-//!       span-graph analysis: the distributed critical path per committed
-//!       transaction, per-actor/per-segment dominance, slowest-endorser and
-//!       gossip-depth histograms; --health (a --health-out JSONL file)
-//!       prints the regime timeline — every health event, per-station
-//!       dwell/onset accounting, and the telescoping verdict (dwells must
-//!       tile the horizon within 1e-6 s). --chrome-out writes a
-//!       Chrome/Perfetto trace (open in ui.perfetto.dev) — with --spans it
-//!       carries flow events so Perfetto draws cross-actor arrows;
-//!       --flame-out writes collapsed stacks for flamegraph.pl / inferno
-//!       (needs --trace)
+//!   fabricsim analyze [--spans FILE] [--health FILE] [--json]
+//!            [--chrome-out FILE] [--flame-out FILE]
+//!       offline analysis of run artifacts. --spans (a --span-out JSONL
+//!       file) gives the causal span-graph analysis: the distributed
+//!       critical path per committed transaction (span and wait segments
+//!       that tile its end-to-end latency), per-actor/per-segment
+//!       dominance, slowest-endorser and gossip-depth histograms; --health
+//!       (a --health-out JSONL file) prints the regime timeline — every
+//!       health event, per-station dwell/onset accounting, and the
+//!       telescoping verdict (dwells must tile the horizon within 1e-6 s).
+//!       --chrome-out writes a Chrome/Perfetto trace of the spans (open in
+//!       ui.perfetto.dev) with flow events so Perfetto draws cross-actor
+//!       arrows; --flame-out writes the critical-path segments as collapsed
+//!       stacks for flamegraph.pl / inferno. Both need --spans
 //!   fabricsim profile [run flags] [--json] [--prom-out FILE]
 //!       run with the DES kernel self-profiler enabled and print where host
 //!       time went: per-event-label handler ns/counts, heap cost, loop
@@ -76,11 +74,10 @@
 //!   --csv                            emit a CSV row instead of the report
 //!   --json                           emit a JSON summary (with bottleneck
 //!                                    attribution) instead of the report
-//!   --trace-out FILE                 record phase events, write JSONL trace
 //!   --span-out FILE                  record causal span-graph events, write
 //!                                    JSONL spans (analyze with --spans)
 //!   --trace-sample RATE              deterministic head-sampling rate in
-//!                                    [0,1] for per-tx trace/span records
+//!                                    [0,1] for per-tx span records
 //!                                    (default 1.0; block-scoped spans are
 //!                                    always recorded)
 //!   --metrics-out FILE               write sampled time-series as CSV
@@ -106,9 +103,9 @@ use std::env;
 use std::process::exit;
 
 use fabricsim::obs::{
-    chrome_trace, collapsed_stacks, parse_jsonl_with_provenance, parse_spans_jsonl_with_provenance,
-    reconstruct, span_flow_trace, validate_exposition, ArtifactDiff, HealthReport, JsonlFileSink,
-    MetricsRegistry, MetricsServer, RunProvenance, SpanGraphAnalysis, TraceAnalysis,
+    collapsed_stacks, parse_spans_jsonl_with_provenance, span_flow_trace, validate_exposition,
+    ArtifactDiff, HealthReport, JsonlFileSink, MetricsRegistry, MetricsServer, RunProvenance,
+    SpanGraphAnalysis,
 };
 use fabricsim::report::{run_summary_json, to_csv, Row};
 use fabricsim::{
@@ -123,11 +120,11 @@ fn usage() -> ! {
     eprintln!("                 [--validator-pool N]");
     eprintln!("                 [--workload kvput|rmw|transfer|smallbank]");
     eprintln!("                 [--payload BYTES] [--seed N] [--csv] [--json]");
-    eprintln!("                 [--trace-out FILE] [--span-out FILE] [--trace-sample RATE]");
+    eprintln!("                 [--span-out FILE] [--trace-sample RATE]");
     eprintln!("                 [--metrics-out FILE] [--metrics-window SECS]");
     eprintln!("                 [--health-out FILE] [--slo-p99-ms MS] [--serve-metrics PORT]");
-    eprintln!("       fabricsim analyze [--trace FILE] [--spans FILE] [--health FILE]");
-    eprintln!("                 [--top K] [--json] [--chrome-out FILE] [--flame-out FILE]");
+    eprintln!("       fabricsim analyze [--spans FILE] [--health FILE] [--json]");
+    eprintln!("                 [--chrome-out FILE] [--flame-out FILE]");
     eprintln!("       fabricsim profile [run flags] [--json] [--prom-out FILE]");
     eprintln!("       fabricsim bench [--out FILE] [--check FILE] [--tolerance PCT]");
     eprintln!("                 [--seeds N] [--json]");
@@ -137,13 +134,11 @@ fn usage() -> ! {
     exit(2);
 }
 
-/// `fabricsim analyze`: offline latency decomposition of a JSONL trace
-/// and/or causal span-graph critical-path analysis of a JSONL span file.
+/// `fabricsim analyze`: causal span-graph critical-path analysis of a JSONL
+/// span file and/or the regime timeline of a JSONL health file.
 fn cmd_analyze(args: &[String]) -> ! {
-    let mut trace: Option<String> = None;
     let mut spans_in: Option<String> = None;
     let mut health_in: Option<String> = None;
-    let mut top = 5usize;
     let mut json = false;
     let mut chrome_out: Option<String> = None;
     let mut flame_out: Option<String> = None;
@@ -151,10 +146,8 @@ fn cmd_analyze(args: &[String]) -> ! {
     while let Some(flag) = it.next() {
         let mut value = || it.next().cloned().unwrap_or_else(|| usage());
         match flag.as_str() {
-            "--trace" => trace = Some(value()),
             "--spans" => spans_in = Some(value()),
             "--health" => health_in = Some(value()),
-            "--top" => top = value().parse().unwrap_or_else(|_| usage()),
             "--json" => json = true,
             "--chrome-out" => chrome_out = Some(value()),
             "--flame-out" => flame_out = Some(value()),
@@ -165,26 +158,14 @@ fn cmd_analyze(args: &[String]) -> ! {
             }
         }
     }
-    if trace.is_none() && spans_in.is_none() && health_in.is_none() {
-        eprintln!(
-            "analyze requires --trace FILE (from --trace-out), --spans FILE (from \
-             --span-out) and/or --health FILE (from --health-out)"
-        );
+    if spans_in.is_none() && health_in.is_none() {
+        eprintln!("analyze requires --spans FILE (from --span-out) and/or --health FILE (from --health-out)");
         exit(2);
     }
-    let mut trace_prov: Option<RunProvenance> = None;
-    let events = trace.as_ref().map(|path| {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read trace {path}: {e}");
-            exit(1);
-        });
-        let (prov, events) = parse_jsonl_with_provenance(&text).unwrap_or_else(|e| {
-            eprintln!("cannot parse trace {path}: {e}");
-            exit(1);
-        });
-        trace_prov = prov;
-        events
-    });
+    if spans_in.is_none() && (chrome_out.is_some() || flame_out.is_some()) {
+        eprintln!("--chrome-out and --flame-out need --spans FILE (from --span-out)");
+        exit(2);
+    }
     let mut span_prov: Option<RunProvenance> = None;
     let spans = spans_in.as_ref().map(|path| {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -211,57 +192,32 @@ fn cmd_analyze(args: &[String]) -> ! {
         health_prov = prov;
         report
     });
-    let present: Vec<(&str, &RunProvenance)> = [
-        ("trace", &trace_prov),
-        ("span", &span_prov),
-        ("health", &health_prov),
-    ]
-    .iter()
-    .filter_map(|(name, p)| p.as_ref().map(|p| (*name, p)))
-    .collect();
-    for pair in present.windows(2) {
-        let ((na, pa), (nb, pb)) = (pair[0], pair[1]);
+    if let (Some(pa), Some(pb)) = (&span_prov, &health_prov) {
         if pa != pb {
             eprintln!(
-                "warning: {na} and {nb} files come from different runs \
+                "warning: span and health files come from different runs \
                  (seed {}/digest {} vs seed {}/digest {})",
                 pa.seed, pa.config_digest, pb.seed, pb.config_digest
             );
         }
     }
-    let provenance = trace_prov.or(span_prov).or(health_prov);
-    if let Some(out) = &chrome_out {
-        // Spans give the richer export: slices per actor plus flow arrows
-        // along every parent edge. Phase-event traces give the classic
-        // per-station waterfall.
-        let body = match (&spans, &events) {
-            (Some(s), _) => span_flow_trace(s),
-            (None, Some(e)) => chrome_trace(e),
-            (None, None) => {
-                eprintln!("--chrome-out needs --trace and/or --spans");
-                exit(2);
-            }
-        };
-        if let Err(e) = std::fs::write(out, body) {
+    let provenance = span_prov.or(health_prov);
+    let span_analysis = spans.as_ref().map(|s| SpanGraphAnalysis::from_spans(s));
+    if let (Some(out), Some(spans)) = (&chrome_out, &spans) {
+        // Slices per actor plus flow arrows along every parent edge.
+        if let Err(e) = std::fs::write(out, span_flow_trace(spans)) {
             eprintln!("cannot write chrome trace to {out}: {e}");
             exit(1);
         }
         eprintln!("wrote chrome trace {out} (open in ui.perfetto.dev or chrome://tracing)");
     }
-    if let Some(out) = &flame_out {
-        let Some(events) = &events else {
-            eprintln!("--flame-out needs --trace FILE (collapsed stacks come from phase events)");
-            exit(2);
-        };
-        let tx_spans = reconstruct(events);
-        if let Err(e) = std::fs::write(out, collapsed_stacks(&tx_spans)) {
+    if let (Some(out), Some(analysis)) = (&flame_out, &span_analysis) {
+        if let Err(e) = std::fs::write(out, collapsed_stacks(analysis)) {
             eprintln!("cannot write collapsed stacks to {out}: {e}");
             exit(1);
         }
         eprintln!("wrote collapsed stacks {out} (feed to flamegraph.pl or inferno-flamegraph)");
     }
-    let trace_analysis = events.as_ref().map(|e| TraceAnalysis::from_events(e, top));
-    let span_analysis = spans.as_ref().map(|s| SpanGraphAnalysis::from_spans(s));
     if json {
         // Always the wrapped form, so `fabricsim diff` (and any other
         // consumer) sees the run provenance next to the analyses.
@@ -269,9 +225,6 @@ fn cmd_analyze(args: &[String]) -> ! {
             .as_ref()
             .map_or_else(|| "null".to_string(), RunProvenance::to_json);
         let mut out = format!("{{\"provenance\":{prov}");
-        if let Some(t) = &trace_analysis {
-            out.push_str(&format!(",\"trace\":{}", t.to_json()));
-        }
         if let Some(g) = &span_analysis {
             out.push_str(&format!(",\"span_graph\":{}", g.to_json()));
         }
@@ -286,9 +239,6 @@ fn cmd_analyze(args: &[String]) -> ! {
                 "provenance : seed {}, config digest {}",
                 p.seed, p.config_digest
             );
-        }
-        if let Some(t) = &trace_analysis {
-            print!("{}", t.render_table());
         }
         if let Some(g) = &span_analysis {
             print!("{}", g.render_table());
@@ -760,7 +710,6 @@ fn main() {
     let mut workload = "kvput".to_string();
     let mut csv = false;
     let mut json = false;
-    let mut trace_out: Option<String> = None;
     let mut span_out: Option<String> = None;
     let mut metrics_out: Option<String> = None;
     let mut health_out: Option<String> = None;
@@ -785,7 +734,6 @@ fn main() {
         match flag.as_str() {
             "--csv" => csv = true,
             "--json" => json = true,
-            "--trace-out" => trace_out = Some(value()),
             "--span-out" => span_out = Some(value()),
             "--trace-sample" => {
                 let rate: f64 = value().parse().unwrap_or_else(|_| usage());
@@ -824,9 +772,6 @@ fn main() {
         }
     }
     set_workload(&mut cfg, &workload, payload);
-    if trace_out.is_some() {
-        cfg.obs.trace_events = true;
-    }
     if span_out.is_some() {
         cfg.obs.span_events = true;
     }
@@ -864,26 +809,13 @@ fn main() {
     let result = Simulation::new(cfg).run_detailed();
     let s = &result.summary;
 
-    // Both artifact files open with a provenance header line, so offline
-    // tooling (`analyze`, `diff`) knows which run produced them.
+    // Both JSONL artifacts (spans, health) open with a provenance header
+    // line, so offline tooling (`analyze`, `diff`) knows which run produced
+    // them.
     let provenance = RunProvenance {
         seed: s.seed,
         config_digest: s.config_digest.clone(),
     };
-    if let Some(path) = &trace_out {
-        let write = || -> std::io::Result<u64> {
-            let mut sink = JsonlFileSink::create(path)?;
-            sink.write_provenance(&provenance)?;
-            for ev in &result.observability.events {
-                sink.write_event(ev)?;
-            }
-            sink.finish()
-        };
-        if let Err(e) = write() {
-            eprintln!("cannot write trace to {path}: {e}");
-            exit(1);
-        }
-    }
     if let Some(path) = &span_out {
         let write = || -> std::io::Result<u64> {
             let mut sink = JsonlFileSink::create(path)?;
@@ -926,10 +858,10 @@ fn main() {
             );
         }
     }
-    if result.observability.dropped_events > 0 || result.observability.dropped_spans > 0 {
+    if result.observability.dropped_spans > 0 {
         eprintln!(
-            "warning: bounded sinks evicted {} trace event(s) and {} span(s); lower --trace-sample or raise trace_buffer_cap",
-            result.observability.dropped_events, result.observability.dropped_spans
+            "warning: bounded span sink dropped {} span(s); lower --trace-sample or raise trace_buffer_cap",
+            result.observability.dropped_spans
         );
     }
 

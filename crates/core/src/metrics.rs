@@ -6,6 +6,7 @@
 //! figures and tables are derived from these traces plus block-cut records.
 
 use fabricsim_des::{SimDuration, SimTime};
+use fabricsim_obs::TxStationBreakdown;
 use fabricsim_types::ValidationCode;
 
 /// Terminal outcome of a transaction.
@@ -48,6 +49,9 @@ pub struct TxTrace {
     pub outcome: TxOutcome,
     /// Endorsement signatures carried (drives VSCC cost).
     pub signatures: usize,
+    /// Per-station queueing/service decomposition of this tx's latency (the
+    /// input of the bottleneck report).
+    pub stations: TxStationBreakdown,
 }
 
 impl TxTrace {
@@ -64,6 +68,7 @@ impl TxTrace {
             committed: None,
             outcome: TxOutcome::InFlight,
             signatures: 0,
+            stations: TxStationBreakdown::default(),
         }
     }
 

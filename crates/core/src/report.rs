@@ -198,7 +198,7 @@ pub fn run_summary_json(label: &str, result: &crate::sim::RunResult) -> String {
             "\"created\":{created},\"committed_valid\":{valid},\"committed_invalid\":{invalid},",
             "\"overload_dropped\":{dropped},\"ordering_timeouts\":{timeouts},",
             "\"endorsement_failures\":{endo_fail},",
-            "\"dropped_events\":{dropped_events},\"dropped_spans\":{dropped_spans},",
+            "\"dropped_spans\":{dropped_spans},",
             "\"ordering_timeouts_per_s\":{timeout_rate:.6},\"overload_dropped_per_s\":{drop_rate:.6},",
             "\"blocks_cut\":{blocks},\"mean_block_time_s\":{blk_t:.6},\"mean_block_size\":{blk_n:.3},",
             "\"hottest_station\":\"{hot}\",\"hottest_utilization\":{hot_load:.6},",
@@ -225,7 +225,6 @@ pub fn run_summary_json(label: &str, result: &crate::sim::RunResult) -> String {
         dropped = s.overload_dropped,
         timeouts = s.ordering_timeouts,
         endo_fail = s.endorsement_failures,
-        dropped_events = result.observability.dropped_events,
         dropped_spans = result.observability.dropped_spans,
         timeout_rate = s.ordering_timeouts_per_s,
         drop_rate = s.overload_dropped_per_s,

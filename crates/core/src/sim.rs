@@ -13,10 +13,9 @@ use fabricsim_kafka::{
 };
 use fabricsim_msp::{CertificateAuthority, Msp};
 use fabricsim_obs::{
-    message_span_id, span_id, tx_sampled, BottleneckReport, EventSink, HealthConfig, HealthReport,
-    HealthWindow, LogHistogram, MetricsRecorder, OnlineHealth, PhaseEvent, SpanEvent, SpanKind,
-    SpanSink, StationClass, TracePhase, TxStationBreakdown, DEFAULT_SPAN_KIND_CAP,
-    HEALTH_STATION_COUNT,
+    message_span_id, span_id, BottleneckReport, HealthConfig, HealthReport, HealthWindow,
+    LogHistogram, MetricsRecorder, OnlineHealth, SpanEvent, SpanKind, SpanSink, StationClass,
+    DEFAULT_SPAN_KIND_CAP, HEALTH_STATION_COUNT,
 };
 use fabricsim_ordering::{OsnEffect, OsnInput, OsnMsg, OsnNode};
 use fabricsim_peer::{GossipEffect, GossipMsg, GossipNode, Peer, PeerConfig};
@@ -106,12 +105,6 @@ impl UtilizationReport {
 /// Observability artifacts of a run (see `fabricsim-obs`).
 #[derive(Debug)]
 pub struct RunObservability {
-    /// Structured phase-transition events, in virtual-time order. Empty
-    /// unless [`crate::ObsConfig::trace_events`] was set.
-    pub events: Vec<PhaseEvent>,
-    /// Phase events evicted from the bounded in-memory ring (oldest-first
-    /// eviction once `trace_buffer_cap` is exceeded).
-    pub dropped_events: u64,
     /// Causal span-graph events, in virtual-time order. Empty unless
     /// [`crate::ObsConfig::span_events`] was set.
     pub spans: Vec<SpanEvent>,
@@ -135,16 +128,6 @@ pub struct RunObservability {
 }
 
 impl RunObservability {
-    /// The collected events as a JSONL document (one event per line).
-    pub fn events_jsonl(&self) -> String {
-        let mut out = String::new();
-        for ev in &self.events {
-            out.push_str(&ev.to_json());
-            out.push('\n');
-        }
-        out
-    }
-
     /// The collected spans as a JSONL document (one span per line).
     pub fn spans_jsonl(&self) -> String {
         let mut out = String::new();
@@ -242,11 +225,8 @@ struct BrokerActor {
 
 /// Per-run observability state carried alongside the world.
 struct ObsState {
-    sink: EventSink,
     /// Causal span-graph sink (bounded, deterministically head-sampled).
     spans: SpanSink,
-    /// Per-tx station decomposition, parallel to `World::traces`.
-    breakdowns: Vec<TxStationBreakdown>,
     recorder: Option<MetricsRecorder>,
     /// Online health plane (streaming regime/SLO detectors); `None` unless
     /// requested. Write-only, like every other surface in this struct.
@@ -297,92 +277,15 @@ impl std::fmt::Display for UnknownChannel {
 
 impl std::error::Error for UnknownChannel {}
 
-/// The station class whose attribution is complete once a transaction
-/// crosses `phase` — the snapshot point for the cumulative queue/service
-/// totals stamped on phase events. Classes are pipeline-ordered, so
-/// "through class C" means "summed over every class up to and including C".
 /// Span-graph trace id of a block: channel index + block number.
 fn block_trace(ch: usize, number: u64) -> String {
     format!("b{ch}.{number}")
-}
-
-fn through_class(phase: TracePhase) -> StationClass {
-    match phase {
-        TracePhase::Created | TracePhase::ProposalSent => StationClass::ClientPrep,
-        // Endorsement fan-out and the client's response handling are both
-        // settled by the time the envelope is assembled.
-        TracePhase::Endorsed | TracePhase::Assembled | TracePhase::Submitted => {
-            StationClass::PeerEndorse
-        }
-        TracePhase::OrderAcked | TracePhase::Ordered | TracePhase::Delivered => {
-            StationClass::OsnCpu
-        }
-        TracePhase::VsccDone => StationClass::PeerVscc,
-        // Commit, plus the terminal failures (whatever was attributed).
-        TracePhase::Committed
-        | TracePhase::OverloadDropped
-        | TracePhase::EndorsementFailed
-        | TracePhase::OrderingTimeout => StationClass::PeerCommit,
-    }
 }
 
 impl World {
     fn trace_mut(&mut self, tx_id: TxId) -> Option<&mut TxTrace> {
         let idx = *self.tx_index.get(&tx_id)?;
         self.traces.get_mut(idx)
-    }
-
-    /// Records a structured phase event for a non-indexed transaction (no
-    /// attribution to snapshot). Call sites must guard on
-    /// `self.obs.sink.enabled()` before building the station string so that
-    /// disabled tracing allocates nothing.
-    fn emit(&mut self, now: SimTime, tx: String, phase: TracePhase, station: String, depth: usize) {
-        if !tx_sampled(&tx, self.cfg.seed, self.cfg.obs.trace_sample) {
-            return;
-        }
-        self.obs.sink.record(PhaseEvent {
-            t_s: now.as_secs_f64(),
-            tx,
-            phase,
-            station,
-            queue_depth: depth as u64,
-            cum_queued_s: 0.0,
-            cum_service_s: 0.0,
-        });
-    }
-
-    /// Records a structured phase event for an indexed transaction, stamping
-    /// it with the tx's cumulative station attribution *through* the phase
-    /// (see [`through_class`]) so the trace analyzer can split each
-    /// inter-phase segment into queue-wait vs service. Same guard contract
-    /// as [`World::emit`]. Read-only with respect to simulation state.
-    fn emit_tx(
-        &mut self,
-        t: SimTime,
-        tx_id: TxId,
-        phase: TracePhase,
-        station: String,
-        depth: usize,
-    ) {
-        let tx = tx_id.short();
-        if !tx_sampled(&tx, self.cfg.seed, self.cfg.obs.trace_sample) {
-            return;
-        }
-        let (cum_queued_s, cum_service_s) = self
-            .tx_index
-            .get(&tx_id)
-            .and_then(|&idx| self.obs.breakdowns.get(idx))
-            .map(|b| b.cumulative_through(through_class(phase)))
-            .unwrap_or((0.0, 0.0));
-        self.obs.sink.record(PhaseEvent {
-            t_s: t.as_secs_f64(),
-            tx,
-            phase,
-            station,
-            queue_depth: depth as u64,
-            cum_queued_s,
-            cum_service_s,
-        });
     }
 
     /// Records one causal span. `trace` is the tx short id for tx-scoped
@@ -454,10 +357,9 @@ impl World {
         queued: SimDuration,
         service: SimDuration,
     ) {
-        if let Some(&idx) = self.tx_index.get(&tx_id) {
-            if let Some(b) = self.obs.breakdowns.get_mut(idx) {
-                b.add(class, queued.as_secs_f64(), service.as_secs_f64());
-            }
+        if let Some(t) = self.trace_mut(tx_id) {
+            t.stations
+                .add(class, queued.as_secs_f64(), service.as_secs_f64());
         }
     }
 
@@ -469,10 +371,9 @@ impl World {
         queued: SimDuration,
         service: SimDuration,
     ) {
-        if let Some(&idx) = self.tx_index.get(&tx_id) {
-            if let Some(b) = self.obs.breakdowns.get_mut(idx) {
-                b.add_max(class, queued.as_secs_f64(), service.as_secs_f64());
-            }
+        if let Some(t) = self.trace_mut(tx_id) {
+            t.stations
+                .add_max(class, queued.as_secs_f64(), service.as_secs_f64());
         }
     }
 
@@ -630,19 +531,14 @@ impl Simulation {
         // Attribute latency over committed txs; window coarse enough to hold
         // a useful population but fine enough to show regime changes.
         let window_s = (cfg.duration_secs / 10.0).clamp(1.0, 10.0);
-        let committed: Vec<TxStationBreakdown> = world
-            .traces
-            .iter()
-            .zip(&world.obs.breakdowns)
-            .filter(|(t, _)| matches!(t.outcome, TxOutcome::Committed(_)))
-            .map(|(_, b)| b.clone())
-            .collect();
-        // Handlers may stamp events at staggered per-tx times (e.g. commit
-        // times within a block), so restore global time order; the sort is
-        // stable, preserving causal order at equal timestamps.
-        let dropped_events = world.obs.sink.dropped_events();
-        let mut events = world.obs.sink.into_events();
-        events.sort_by(|a, b| a.t_s.total_cmp(&b.t_s));
+        let bottleneck = BottleneckReport::from_breakdowns(
+            world
+                .traces
+                .iter()
+                .filter(|t| matches!(t.outcome, TxOutcome::Committed(_)))
+                .map(|t| &t.stations),
+            window_s,
+        );
         let dropped_spans = world.obs.spans.dropped_spans();
         let mut spans = world.obs.spans.into_spans();
         spans.sort_by(|a, b| {
@@ -657,12 +553,10 @@ impl Simulation {
             r
         });
         let observability = RunObservability {
-            events,
-            dropped_events,
             spans,
             dropped_spans,
             metrics: world.obs.recorder,
-            bottleneck: BottleneckReport::from_breakdowns(&committed, window_s),
+            bottleneck,
             e2e_hist: world.obs.e2e_hist,
             profile,
             health,
@@ -936,11 +830,6 @@ fn build_world(cfg: &SimConfig, live: Option<Arc<LiveMetrics>>) -> World {
         block_cuts: Vec::new(),
         next_cut_number: vec![0; n_channels],
         obs: ObsState {
-            sink: if cfg.obs.trace_events {
-                EventSink::in_memory_bounded(cfg.obs.trace_buffer_cap)
-            } else {
-                EventSink::disabled()
-            },
             spans: if cfg.obs.span_events {
                 SpanSink::bounded(
                     cfg.seed,
@@ -951,7 +840,6 @@ fn build_world(cfg: &SimConfig, live: Option<Arc<LiveMetrics>>) -> World {
             } else {
                 SpanSink::disabled()
             },
-            breakdowns: Vec::new(),
             recorder: (cfg.obs.sample_period_s > 0.0)
                 .then(|| MetricsRecorder::new(cfg.obs.sample_period_s)),
             health: cfg.obs.health_events.then(|| {
@@ -1399,20 +1287,8 @@ fn pool_arrival(world: &mut World, k: &mut K, p: usize) {
     if world.pools[p].in_prep >= world.cfg.cost.client_queue_cap {
         trace.outcome = TxOutcome::OverloadDropped;
         world.traces.push(trace);
-        world.obs.breakdowns.push(TxStationBreakdown::default());
         if let Some(live) = &world.obs.live {
             live.txs_failed_overload.inc();
-        }
-        if world.obs.sink.enabled() {
-            let station = world.pools[p].prep.name().to_string();
-            let depth = world.pools[p].in_prep;
-            world.emit(
-                now,
-                format!("arrival{seq}"),
-                TracePhase::OverloadDropped,
-                station,
-                depth,
-            );
         }
         return;
     }
@@ -1439,20 +1315,14 @@ fn pool_arrival(world: &mut World, k: &mut K, p: usize) {
     if targets.is_empty() {
         trace.outcome = TxOutcome::EndorsementFailed;
         world.traces.push(trace);
-        world.obs.breakdowns.push(TxStationBreakdown::default());
         if let Some(live) = &world.obs.live {
             live.txs_failed_endorsement.inc();
-        }
-        if world.obs.sink.enabled() {
-            let station = world.pools[p].prep.name().to_string();
-            world.emit_tx(now, tx_id, TracePhase::EndorsementFailed, station, 0);
         }
         return;
     }
     let expected = targets.len();
 
     world.traces.push(trace);
-    world.obs.breakdowns.push(TxStationBreakdown::default());
     world.tx_index.insert(tx_id, seq);
     world.tx_pool.insert(tx_id, p);
     if let Some(live) = &world.obs.live {
@@ -1480,11 +1350,6 @@ fn pool_arrival(world: &mut World, k: &mut K, p: usize) {
     let queued = world.pools[p].prep.would_start_at(now) - now;
     let done = world.pools[p].prep.submit(now, service);
     world.attribute(tx_id, StationClass::ClientPrep, queued, service);
-    if world.obs.sink.enabled() {
-        let station = world.pools[p].prep.name().to_string();
-        let depth = world.pools[p].prep.jobs_in_system(now);
-        world.emit_tx(now, tx_id, TracePhase::Created, station, depth);
-    }
     if world.obs.spans.enabled() {
         let tx = tx_id.short();
         let actor = format!("pool{p}");
@@ -1504,16 +1369,6 @@ fn send_proposals(world: &mut World, k: &mut K, p: usize, tx_id: TxId, targets: 
     let proposal = pending.proposal.clone();
     if let Some(t) = world.trace_mut(tx_id) {
         t.proposal_sent = Some(now);
-    }
-    if world.obs.sink.enabled() {
-        let depth = world.pools[p].pending.len();
-        world.emit_tx(
-            now,
-            tx_id,
-            TracePhase::ProposalSent,
-            format!("pool{p}.nic"),
-            depth,
-        );
     }
     let bytes = proposal.wire_size();
     for principal in targets {
@@ -1595,10 +1450,6 @@ fn pool_receive_response(world: &mut World, k: &mut K, p: usize, response: Propo
             if let Some(live) = &world.obs.live {
                 live.txs_failed_endorsement.inc();
             }
-            if world.obs.sink.enabled() {
-                let station = world.pools[p].recv.name().to_string();
-                world.emit_tx(now, tx_id, TracePhase::EndorsementFailed, station, 0);
-            }
         }
         CollectState::Satisfied => {
             let n = pending.collector.responses().len();
@@ -1651,10 +1502,6 @@ fn client_assemble(world: &mut World, k: &mut K, p: usize, tx_id: TxId) {
             if let Some(live) = &world.obs.live {
                 live.txs_failed_endorsement.inc();
             }
-            if world.obs.sink.enabled() {
-                let station = world.pools[p].recv.name().to_string();
-                world.emit_tx(now, tx_id, TracePhase::EndorsementFailed, station, 0);
-            }
             return;
         }
     };
@@ -1662,11 +1509,6 @@ fn client_assemble(world: &mut World, k: &mut K, p: usize, tx_id: TxId) {
     if let Some(t) = world.trace_mut(tx_id) {
         t.endorsed = Some(now);
         t.signatures = sigs;
-    }
-    if world.obs.sink.enabled() {
-        let station = world.pools[p].recv.name().to_string();
-        let depth = world.pools[p].recv.jobs_in_system(now);
-        world.emit_tx(now, tx_id, TracePhase::Endorsed, station, depth);
     }
     submit_to_orderer(world, k, p, tx);
 }
@@ -1676,16 +1518,6 @@ fn submit_to_orderer(world: &mut World, k: &mut K, p: usize, tx: Transaction) {
     let tx_id = tx.tx_id;
     if let Some(t) = world.trace_mut(tx_id) {
         t.submitted = Some(now);
-    }
-    if world.obs.sink.enabled() {
-        let depth = world.pools[p].pending.len();
-        world.emit_tx(
-            now,
-            tx_id,
-            TracePhase::Submitted,
-            format!("pool{p}.nic"),
-            depth,
-        );
     }
     // Round-robin over OSNs.
     let osn_count = world.osns.len() as u32;
@@ -1697,7 +1529,7 @@ fn submit_to_orderer(world: &mut World, k: &mut K, p: usize, tx: Transaction) {
     let ev = k.schedule_labeled(
         now + timeout,
         "ordering.timeout",
-        move |w: &mut World, k| {
+        move |w: &mut World, _k| {
             let mut timed_out = false;
             if let Some(t) = w.trace_mut(tx_id) {
                 if t.order_acked.is_none() && matches!(t.outcome, TxOutcome::InFlight) {
@@ -1710,16 +1542,6 @@ fn submit_to_orderer(world: &mut World, k: &mut K, p: usize, tx: Transaction) {
                 if let Some(live) = &w.obs.live {
                     live.txs_failed_timeout.inc();
                 }
-            }
-            if timed_out && w.obs.sink.enabled() {
-                let now = k.now();
-                w.emit_tx(
-                    now,
-                    tx_id,
-                    TracePhase::OrderingTimeout,
-                    "ordering.timeout".into(),
-                    0,
-                );
             }
         },
     );
@@ -1821,17 +1643,10 @@ fn apply_osn_effects(world: &mut World, k: &mut K, o: usize, ch: usize, effects:
                             k2.cancel(ev);
                         }
                     }
-                    let mut first_ack = false;
                     if let Some(t) = w.trace_mut(tx_id) {
                         if t.order_acked.is_none() {
                             t.order_acked = Some(now);
-                            first_ack = true;
                         }
-                    }
-                    if first_ack && w.obs.sink.enabled() {
-                        let station = w.osns[o].station.name().to_string();
-                        let depth = w.osns[o].station.jobs_in_system(now);
-                        w.emit_tx(now, tx_id, TracePhase::OrderAcked, station, depth);
                     }
                 });
             }
@@ -1919,24 +1734,12 @@ fn deliver_block(world: &mut World, k: &mut K, o: usize, block: Block) {
             live.blocks_cut.inc();
             live.block_txs.add(block.len() as u64);
         }
-        let station = world
-            .obs
-            .sink
-            .enabled()
-            .then(|| world.osns[o].station.name().to_string());
-        let depth = world.osns[o].station.jobs_in_system(now);
         for tx in &block.transactions {
             let tx_id = tx.tx_id;
             if let Some(t) = world.trace_mut(tx_id) {
                 if t.ordered.is_none() {
                     t.ordered = Some(now);
                 }
-            }
-        }
-        if let Some(station) = station {
-            let tx_ids: Vec<TxId> = block.transactions.iter().map(|t| t.tx_id).collect();
-            for tx_id in tx_ids {
-                world.emit_tx(now, tx_id, TracePhase::Ordered, station.clone(), depth);
             }
         }
         if world.obs.spans.enabled() {
@@ -2091,23 +1894,9 @@ fn enqueue_block_validation(world: &mut World, k: &mut K, peer_idx: usize, block
     }
     let is_observer = peer_idx == world.observer;
     if is_observer {
-        let station = world
-            .obs
-            .sink
-            .enabled()
-            .then(|| world.peers[peer_idx].vscc.name().to_string());
-        let depth = world.peers[peer_idx].vscc.jobs_in_system(now);
-        for tx_id in block
-            .transactions
-            .iter()
-            .map(|t| t.tx_id)
-            .collect::<Vec<_>>()
-        {
-            if let Some(t) = world.trace_mut(tx_id) {
+        for tx in &block.transactions {
+            if let Some(t) = world.trace_mut(tx.tx_id) {
                 t.delivered = Some(now);
-            }
-            if let Some(station) = &station {
-                world.emit_tx(now, tx_id, TracePhase::Delivered, station.clone(), depth);
             }
         }
     }
@@ -2291,23 +2080,16 @@ fn commit_block(
                 .flags
                 .clone()
         };
-        let vscc_station = world
-            .obs
-            .sink
-            .enabled()
-            .then(|| world.peers[peer_idx].vscc.name().to_string());
-        let commit_station = world
-            .obs
-            .sink
-            .enabled()
-            .then(|| world.peers[peer_idx].commit.name().to_string());
         for (i, tx_id) in tx_ids.iter().enumerate() {
             let mut e2e = None;
             if let Some(t) = world.trace_mut(*tx_id) {
                 t.committed = Some(commit_times[i]);
                 if matches!(t.outcome, TxOutcome::InFlight) {
+                    let e2e_s = (commit_times[i] - t.created).as_secs_f64();
                     t.outcome = TxOutcome::Committed(flags[i]);
-                    e2e = Some((commit_times[i] - t.created).as_secs_f64());
+                    t.stations.commit_s = commit_times[i].as_secs_f64();
+                    t.stations.end_to_end_s = e2e_s;
+                    e2e = Some(e2e_s);
                 }
             }
             if let Some(e2e_s) = e2e {
@@ -2323,30 +2105,6 @@ fn commit_block(
                         live.txs_committed_invalid.inc();
                     }
                 }
-                if let Some(&idx) = world.tx_index.get(tx_id) {
-                    if let Some(b) = world.obs.breakdowns.get_mut(idx) {
-                        b.commit_s = commit_times[i].as_secs_f64();
-                        b.end_to_end_s = e2e_s;
-                    }
-                }
-            }
-            if let Some(station) = &vscc_station {
-                world.emit_tx(
-                    vscc_times[i],
-                    *tx_id,
-                    TracePhase::VsccDone,
-                    station.clone(),
-                    0,
-                );
-            }
-            if let Some(station) = &commit_station {
-                world.emit_tx(
-                    commit_times[i],
-                    *tx_id,
-                    TracePhase::Committed,
-                    station.clone(),
-                    0,
-                );
             }
         }
     }

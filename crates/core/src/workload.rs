@@ -116,21 +116,19 @@ impl Default for GossipConfig {
 /// Observability configuration: what the run records beyond the summary.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObsConfig {
-    /// Record structured per-transaction phase events (exportable as JSONL).
-    /// Off by default: large runs emit one event per phase transition.
-    pub trace_events: bool,
     /// Record causal span-graph events (per-peer endorsement, consensus
-    /// message legs, per-hop gossip delivery, per-peer validation/commit).
-    /// Off by default for the same reason as `trace_events`.
+    /// message legs, per-hop gossip delivery, per-peer validation/commit),
+    /// exportable as JSONL. Off by default: large runs emit several spans
+    /// per transaction.
     pub span_events: bool,
     /// Deterministic head-sampling rate in `[0, 1]` applied to *tx-scoped*
-    /// trace and span records (seeded on the tx id, so rates nest: every tx
+    /// span records (seeded on the tx id, so rates nest: every tx
     /// kept at 1 % is also kept at 50 %). Block-scoped spans are always
     /// recorded. `1.0` keeps everything.
     pub trace_sample: f64,
-    /// Capacity of the bounded in-memory event/span rings; oldest records
-    /// are evicted beyond this and reported as `dropped_events` /
-    /// `dropped_spans`. Must be positive.
+    /// Capacity of the bounded in-memory span ring; oldest spans are
+    /// evicted beyond this and reported as `dropped_spans`. Must be
+    /// positive.
     pub trace_buffer_cap: usize,
     /// Enable the DES kernel self-profiler: host-ns attribution of the
     /// event loop per event-family label, plus heap and loop overhead.
@@ -152,7 +150,6 @@ pub struct ObsConfig {
 impl Default for ObsConfig {
     fn default() -> Self {
         ObsConfig {
-            trace_events: false,
             span_events: false,
             trace_sample: 1.0,
             trace_buffer_cap: 1 << 20,
@@ -319,7 +316,6 @@ impl SimConfig {
     pub fn digest(&self) -> String {
         let canonical = SimConfig {
             obs: ObsConfig {
-                trace_events: false,
                 span_events: false,
                 trace_sample: 0.0,
                 trace_buffer_cap: 0,
@@ -422,7 +418,6 @@ mod tests {
         assert!(d.chars().all(|c| c.is_ascii_hexdigit()));
         // Deterministic, and insensitive to observability toggles…
         let mut traced = base.clone();
-        traced.obs.trace_events = true;
         traced.obs.span_events = true;
         traced.obs.trace_sample = 0.01;
         traced.obs.trace_buffer_cap = 64;

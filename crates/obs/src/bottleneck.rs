@@ -101,18 +101,6 @@ impl TxStationBreakdown {
         }
     }
 
-    /// Cumulative `(queued, service)` seconds attributed across every class
-    /// up to and including `class` (classes are pipeline-ordered, so this is
-    /// "everything attributed by the time the tx cleared `class`"). Used to
-    /// stamp phase events with running attribution totals.
-    pub fn cumulative_through(&self, class: StationClass) -> (f64, f64) {
-        let n = class.idx() + 1;
-        (
-            self.queued_s[..n].iter().sum(),
-            self.service_s[..n].iter().sum(),
-        )
-    }
-
     /// Total attributed queueing time.
     pub fn total_queued_s(&self) -> f64 {
         self.queued_s.iter().sum()
@@ -178,17 +166,23 @@ pub struct BottleneckReport {
 }
 
 impl BottleneckReport {
-    /// Builds a report from per-transaction breakdowns.
+    /// Builds a report from per-transaction breakdowns. The iterator is
+    /// walked twice (horizon, then aggregation), hence the `Clone` bound.
     ///
     /// # Panics
     /// Panics unless `window_s` is positive and finite.
-    pub fn from_breakdowns(txs: &[TxStationBreakdown], window_s: f64) -> Self {
+    pub fn from_breakdowns<'a, I>(txs: I, window_s: f64) -> Self
+    where
+        I: IntoIterator<Item = &'a TxStationBreakdown>,
+        I::IntoIter: Clone,
+    {
         assert!(
             window_s > 0.0 && window_s.is_finite(),
             "invalid window length"
         );
-        let horizon = txs.iter().map(|t| t.commit_s).fold(0.0, f64::max);
-        let n_windows = if txs.is_empty() {
+        let txs = txs.into_iter();
+        let horizon = txs.clone().map(|t| t.commit_s).fold(0.0, f64::max);
+        let n_windows = if txs.clone().next().is_none() {
             0
         } else {
             (horizon / window_s).floor() as usize + 1
@@ -383,21 +377,6 @@ mod tests {
         assert!(table.contains("dominant queue: peer vscc"), "{table}");
         let json = report.to_json();
         assert!(json.contains("\"dominant\":\"peer vscc\""), "{json}");
-    }
-
-    #[test]
-    fn cumulative_through_is_a_prefix_sum_in_pipeline_order() {
-        let mut b = TxStationBreakdown::default();
-        b.add(StationClass::ClientPrep, 0.1, 0.2);
-        b.add(StationClass::PeerEndorse, 0.3, 0.4);
-        b.add(StationClass::PeerCommit, 0.5, 0.6);
-        let (q, s) = b.cumulative_through(StationClass::ClientPrep);
-        assert_eq!((q, s), (0.1, 0.2));
-        let (q, s) = b.cumulative_through(StationClass::OsnCpu);
-        assert!((q - 0.4).abs() < 1e-12 && (s - 0.6).abs() < 1e-12);
-        let (q, s) = b.cumulative_through(StationClass::PeerCommit);
-        assert!((q - b.total_queued_s()).abs() < 1e-12);
-        assert!((s - b.total_service_s()).abs() < 1e-12);
     }
 
     #[test]

@@ -1,12 +1,11 @@
-//! Distributed critical-path analysis over the causal span graph.
+//! Distributed critical-path analysis over the causal span graph — the
+//! repo's one latency decomposition.
 //!
-//! The flat trace analyzer ([`crate::TraceAnalysis`]) decomposes latency
-//! along the *observer peer's* view of the pipeline. This module answers the
-//! distributed version of the question: walking the span DAG backwards from
-//! each transaction's commit span, it reconstructs the chain of work — and
-//! the explicit *wait* gaps between work — that actually bounded the
-//! transaction's end-to-end latency, across every actor involved
-//! (endorsing peers, client pools, OSNs, gossip hops, validating peers).
+//! Walking the span DAG backwards from each transaction's commit span, it
+//! reconstructs the chain of work — and the explicit *wait* gaps between
+//! work — that actually bounded the transaction's end-to-end latency, across
+//! every actor involved (endorsing peers, client pools, OSNs, gossip hops,
+//! validating peers).
 //!
 //! The walk telescopes: each step accounts the interval `[t0, cursor]` of
 //! the current span and the `[pred.t1, t0]` gap before it, so the segment
@@ -17,8 +16,31 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use crate::event::escape;
+use crate::json::escape;
 use crate::spangraph::{SpanEvent, SpanKind};
+
+/// The paper's execute / order / validate phase a critical-path segment
+/// label belongs to. A span kind maps to the phase that does the work; a
+/// `wait:<kind>` gap belongs to the phase of the work it delayed (so
+/// `wait:vscc`, a block queued for the validator, is validate-side), and
+/// `wait:source` — time before any recorded work — to execute.
+#[must_use]
+pub fn phase_group(label: &str) -> &'static str {
+    let kind = label.strip_prefix("wait:").unwrap_or(label);
+    match SpanKind::from_label(kind) {
+        Some(SpanKind::Vscc | SpanKind::Commit) => "validate",
+        Some(
+            SpanKind::OsnBroadcast
+            | SpanKind::RaftMsg
+            | SpanKind::KafkaProduce
+            | SpanKind::KafkaConsume
+            | SpanKind::BlockCut
+            | SpanKind::Deliver
+            | SpanKind::GossipHop,
+        ) => "order",
+        Some(SpanKind::ClientPrep | SpanKind::Endorse | SpanKind::Assemble) | None => "execute",
+    }
+}
 
 /// One segment of a transaction's distributed critical path: either a span
 /// (label = the span kind) or an idle gap (`wait:<kind-it-delayed>` /
@@ -509,6 +531,17 @@ mod tests {
         assert!(table.contains("1 committed tx(s)"));
         assert!(table.contains("slowest endorser"));
         assert!(table.contains("block delivery depth"));
+    }
+
+    #[test]
+    fn phase_groups_follow_the_work_a_segment_delays() {
+        assert_eq!(phase_group("endorse"), "execute");
+        assert_eq!(phase_group("wait:source"), "execute");
+        assert_eq!(phase_group("osn_broadcast"), "order");
+        assert_eq!(phase_group("wait:deliver"), "order");
+        assert_eq!(phase_group("vscc"), "validate");
+        assert_eq!(phase_group("wait:vscc"), "validate");
+        assert_eq!(phase_group("commit"), "validate");
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The paper's contribution is a *diagnosis* — which phase is the bottleneck
 //! and how it moves as load, endorsement policy and block size change. A
-//! single run's artifacts (`--json` run summaries, trace analyses, span-graph
-//! critical paths, kernel self-profiles, bench baselines, `--health-out`
+//! single run's artifacts (`--json` run summaries, span-graph critical-path
+//! analyses, kernel self-profiles, bench baselines, `--health-out`
 //! regime timelines) can each diagnose one run; this module explains the
 //! *difference* between two:
 //!
@@ -13,9 +13,10 @@
 //! * string-valued dominance dimensions (hottest station, dominant
 //!   critical-path segment, hottest kernel handler) become [`Shift`]s when
 //!   they changed — the "bottleneck moved out of VSCC" statement, computed;
-//! * per-segment latency deltas must **telescope**: because each trace
-//!   analysis guarantees Σ segment means = e2e mean (1e-9 discipline), the
-//!   per-segment deltas between two runs must sum to the e2e latency delta.
+//! * per-segment latency deltas must **telescope**: because each span-graph
+//!   analysis guarantees Σ critical-path segments = Σ e2e latency (1e-9
+//!   discipline), the per-segment deltas between two runs must sum to the
+//!   total-path delta.
 //!   [`TelescopeCheck`] carries both sides so callers can assert the residual
 //!   (the CLI and CI hold it to 1e-6);
 //! * run provenance (`seed`, `config_digest`) is extracted from both sides
@@ -35,8 +36,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 
-use crate::event::RunProvenance;
-use crate::json::Json;
+use crate::json::{escape, Json, RunProvenance};
 use crate::online::{HealthReport, Regime, StationHealth};
 
 /// Which artifact family a document was recognized as.
@@ -44,8 +44,8 @@ use crate::online::{HealthReport, Regime, StationHealth};
 pub enum ArtifactKind {
     /// A `fabricsim --json` run summary (flat metrics + bottleneck report).
     RunSummary,
-    /// An `analyze --json` document: trace analysis, span-graph analysis, or
-    /// the combined form holding both.
+    /// An `analyze --json` document holding a span-graph analysis (under
+    /// `span_graph`, or bare).
     Analysis,
     /// A `profile --json` document (the kernel profile under `merged`).
     Profile,
@@ -82,7 +82,7 @@ pub struct DiffProvenance {
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiffEntry {
     /// Dotted metric path (e.g. `overall_latency.mean_s`,
-    /// `delivered→vscc_done.mean_s`).
+    /// `segments:wait:vscc.seconds`).
     pub name: String,
     /// The metric's value in artifact A.
     pub a: f64,
@@ -101,7 +101,7 @@ impl DiffEntry {
 /// the computed form of "the bottleneck moved".
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Shift {
-    /// What moved (e.g. `hottest_station`, `trace.dominant_segment`).
+    /// What moved (e.g. `hottest_station`, `span_graph.dominant_segment`).
     pub dimension: String,
     /// The dominant value in artifact A.
     pub a: String,
@@ -114,7 +114,8 @@ pub struct Shift {
 /// already guarantees Σ segment = e2e within 1e-9, so the deltas inherit it).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelescopeCheck {
-    /// The end-to-end metric the segments decompose (e.g. `trace.e2e.mean_s`).
+    /// The end-to-end metric the segments decompose (e.g.
+    /// `span_graph.path_total_s`).
     pub metric: String,
     /// `B − A` of the end-to-end metric, seconds.
     pub e2e_delta_s: f64,
@@ -129,8 +130,8 @@ impl TelescopeCheck {
     }
 }
 
-/// One comparable slice of an artifact pair (e.g. "trace segments",
-/// "kernel profile").
+/// One comparable slice of an artifact pair (e.g. "span-graph critical
+/// path", "kernel profile").
 #[derive(Debug, Clone, Default)]
 pub struct DiffSection {
     /// Human-readable section title.
@@ -524,11 +525,7 @@ fn sniff(j: &Json) -> Option<ArtifactKind> {
     if has("merged") || (has("loop_ns") && has("entries")) {
         return Some(ArtifactKind::Profile);
     }
-    if has("trace")
-        || has("span_graph")
-        || (has("e2e") && has("segments"))
-        || (has("mean_path_s") && has("actors"))
-    {
+    if has("span_graph") || (has("mean_path_s") && has("actors")) {
         return Some(ArtifactKind::Analysis);
     }
     None
@@ -617,18 +614,6 @@ fn run_summary_sections(a: &Json, b: &Json) -> Vec<DiffSection> {
     vec![sec]
 }
 
-/// Locates the trace-analysis subtree: the `"trace"` key of a combined
-/// analyze document, or the document itself when bare.
-fn trace_tree(j: &Json) -> Option<&Json> {
-    if let Some(t @ Json::Obj(_)) = j.get("trace") {
-        return Some(t);
-    }
-    if j.get("e2e").is_some() && j.get("segments").is_some() {
-        return Some(j);
-    }
-    None
-}
-
 /// Locates the span-graph subtree (`"span_graph"` key or bare document).
 fn span_tree(j: &Json) -> Option<&Json> {
     if let Some(g @ Json::Obj(_)) = j.get("span_graph") {
@@ -642,16 +627,6 @@ fn span_tree(j: &Json) -> Option<&Json> {
 
 fn analysis_sections(a: &Json, b: &Json) -> Vec<DiffSection> {
     let mut out = Vec::new();
-    match (trace_tree(a), trace_tree(b)) {
-        (Some(ta), Some(tb)) => out.push(trace_section(ta, tb)),
-        (Some(_), None) | (None, Some(_)) => {
-            let mut sec = DiffSection::new("trace segments");
-            sec.notes
-                .push("trace analysis present on one side only; not compared".into());
-            out.push(sec);
-        }
-        (None, None) => {}
-    }
     match (span_tree(a), span_tree(b)) {
         (Some(ga), Some(gb)) => out.push(span_graph_section(ga, gb)),
         (Some(_), None) | (None, Some(_)) => {
@@ -663,129 +638,6 @@ fn analysis_sections(a: &Json, b: &Json) -> Vec<DiffSection> {
         (None, None) => {}
     }
     out
-}
-
-/// Per-segment stats mined from a trace analysis: `from→to` → selected
-/// numeric fields.
-fn trace_segments(t: &Json) -> BTreeMap<String, BTreeMap<String, f64>> {
-    let mut out = BTreeMap::new();
-    for seg in t
-        .get("segments")
-        .and_then(Json::as_array)
-        .unwrap_or_default()
-    {
-        let (Some(from), Some(to)) = (
-            seg.get("from").and_then(Json::as_str),
-            seg.get("to").and_then(Json::as_str),
-        ) else {
-            continue;
-        };
-        let name = format!("{from}→{to}");
-        let mut fields = BTreeMap::new();
-        for f in [
-            "mean_s",
-            "p95_s",
-            "mean_queued_s",
-            "mean_service_s",
-            "critical",
-            "observed",
-        ] {
-            if let Some(v) = seg.get(f).and_then(Json::as_f64) {
-                fields.insert(f.to_string(), v);
-            }
-        }
-        out.insert(name, fields);
-    }
-    out
-}
-
-/// The dominant (most-critical) segment of a trace analysis, mirroring
-/// `TraceAnalysis::dominant_segment` (ties keep the later segment, as
-/// `max_by_key` does).
-fn trace_dominant(t: &Json) -> Option<String> {
-    let mut best: Option<(f64, String)> = None;
-    for seg in t
-        .get("segments")
-        .and_then(Json::as_array)
-        .unwrap_or_default()
-    {
-        let crit = seg.get("critical").and_then(Json::as_f64).unwrap_or(0.0);
-        let (Some(from), Some(to)) = (
-            seg.get("from").and_then(Json::as_str),
-            seg.get("to").and_then(Json::as_str),
-        ) else {
-            continue;
-        };
-        if best.as_ref().is_none_or(|(c, _)| crit >= *c) {
-            best = Some((crit, format!("{from}→{to}")));
-        }
-    }
-    best.map(|(_, name)| name)
-}
-
-fn trace_section(ta: &Json, tb: &Json) -> DiffSection {
-    let mut sec = DiffSection::new("trace segments");
-    for (path, label) in [
-        (["e2e", "mean_s"], "e2e.mean_s"),
-        (["e2e", "p50_s"], "e2e.p50_s"),
-        (["e2e", "p95_s"], "e2e.p95_s"),
-        (["e2e", "p99_s"], "e2e.p99_s"),
-        (["e2e", "max_s"], "e2e.max_s"),
-    ] {
-        if let (Some(va), Some(vb)) = (num(ta, &path), num(tb, &path)) {
-            sec.push(label, va, vb);
-        }
-    }
-    for key in ["committed", "failed", "incomplete"] {
-        if let (Some(va), Some(vb)) = (num(ta, &[key]), num(tb, &[key])) {
-            sec.push(key, va, vb);
-        }
-    }
-    for group in ["execute", "order", "validate"] {
-        if let (Some(va), Some(vb)) = (
-            num(ta, &["dominance", group]),
-            num(tb, &["dominance", group]),
-        ) {
-            sec.push(format!("dominance.{group}"), va, vb);
-        }
-    }
-    let sa = trace_segments(ta);
-    let sb = trace_segments(tb);
-    let mut seg_delta_sum = 0.0;
-    let names: std::collections::BTreeSet<&String> = sa.keys().chain(sb.keys()).collect();
-    for name in names {
-        let fa = sa.get(name);
-        let fb = sb.get(name);
-        if fa.is_none() || fb.is_none() {
-            let side = if fa.is_some() { 'A' } else { 'B' };
-            sec.notes.push(format!(
-                "segment {name} only in {side} (treated as 0 elsewhere)"
-            ));
-        }
-        let field = |side: Option<&BTreeMap<String, f64>>, f: &str| {
-            side.and_then(|m| m.get(f).copied()).unwrap_or(0.0)
-        };
-        let (ma, mb) = (field(fa, "mean_s"), field(fb, "mean_s"));
-        seg_delta_sum += mb - ma;
-        sec.push(format!("{name}.mean_s"), ma, mb);
-        for f in ["mean_queued_s", "mean_service_s", "critical"] {
-            sec.push(format!("{name}.{f}"), field(fa, f), field(fb, f));
-        }
-    }
-    if let (Some(ea), Some(eb)) = (num(ta, &["e2e", "mean_s"]), num(tb, &["e2e", "mean_s"])) {
-        sec.telescopes.push(TelescopeCheck {
-            metric: "trace.e2e.mean_s".into(),
-            e2e_delta_s: eb - ea,
-            segment_delta_sum_s: seg_delta_sum,
-        });
-    }
-    sec.shift_if_changed(
-        "trace.dominant_segment",
-        trace_dominant(ta).as_deref(),
-        trace_dominant(tb).as_deref(),
-    );
-    sec.sort_entries();
-    sec
 }
 
 /// `name → seconds` from a span-graph `segments`/`actors` list.
@@ -1149,35 +1001,33 @@ fn health_sections(ra: &HealthReport, rb: &HealthReport) -> Vec<DiffSection> {
     vec![summary, sec]
 }
 
-/// JSON string escaping (same character set as the event codec).
-fn escape(s: &str) -> String {
-    crate::event::escape(s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn trace_doc(seg1_mean: f64, seg2_mean: f64, crit1: u64, crit2: u64, digest: &str) -> String {
-        let e2e = seg1_mean + seg2_mean;
+    /// An `analyze --json` document for 10 committed txs whose critical
+    /// paths split into a `wait:vscc` and a `commit` segment (per-tx means).
+    fn span_doc(wait_mean: f64, commit_mean: f64, digest: &str) -> String {
+        let mut segments = [
+            ("wait:vscc", wait_mean * 10.0),
+            ("commit", commit_mean * 10.0),
+        ];
+        segments.sort_by(|a, b| b.1.total_cmp(&a.1));
+        let [(n1, s1), (n2, s2)] = segments;
+        let mean = wait_mean + commit_mean;
         format!(
-            "{{\"provenance\":{{\"seed\":42,\"config_digest\":\"{digest}\"}},\"trace\":{{\
-             \"committed\":10,\"failed\":0,\"incomplete\":0,\
-             \"e2e\":{{\"count\":10,\"mean_s\":{e2e},\"p50_s\":{e2e},\"p95_s\":{e2e},\"p99_s\":{e2e},\"max_s\":{e2e}}},\
-             \"segment_mean_sum_s\":{e2e},\"segments\":[\
-             {{\"from\":\"delivered\",\"to\":\"vscc_done\",\"group\":\"validate\",\"observed\":10,\
-              \"mean_s\":{seg1_mean},\"p50_s\":0,\"p95_s\":0,\"p99_s\":0,\"max_s\":0,\
-              \"mean_queued_s\":0,\"mean_service_s\":{seg1_mean},\"critical\":{crit1}}},\
-             {{\"from\":\"vscc_done\",\"to\":\"committed\",\"group\":\"validate\",\"observed\":10,\
-              \"mean_s\":{seg2_mean},\"p50_s\":0,\"p95_s\":0,\"p99_s\":0,\"max_s\":0,\
-              \"mean_queued_s\":0,\"mean_service_s\":{seg2_mean},\"critical\":{crit2}}}],\
-             \"dominance\":{{\"execute\":0,\"order\":0,\"validate\":10}},\"slowest\":[]}}}}"
+            "{{\"provenance\":{{\"seed\":42,\"config_digest\":\"{digest}\"}},\"span_graph\":{{\
+             \"spans\":40,\"txs\":10,\"mean_path_s\":{mean},\"max_residual_s\":0,\
+             \"segments\":[{{\"name\":\"{n1}\",\"seconds\":{s1}}},{{\"name\":\"{n2}\",\"seconds\":{s2}}}],\
+             \"actors\":[{{\"name\":\"peer0\",\"seconds\":{}}}],\
+             \"slowest_endorser\":[],\"gossip_depth\":[]}}}}",
+            mean * 10.0
         )
     }
 
     #[test]
     fn self_diff_is_all_zero_with_no_shifts() {
-        let doc = trace_doc(0.6, 0.2, 8, 2, "aaaa");
+        let doc = span_doc(0.6, 0.2, "aaaa");
         let d = ArtifactDiff::from_json_strs(&doc, &doc).expect("diffs");
         assert_eq!(d.kind, ArtifactKind::Analysis);
         assert_eq!(d.digest_match, Some(true));
@@ -1189,22 +1039,21 @@ mod tests {
 
     #[test]
     fn detects_bottleneck_shift_and_telescopes() {
-        let a = trace_doc(0.6, 0.2, 8, 2, "aaaa");
-        let b = trace_doc(0.1, 0.3, 3, 7, "bbbb");
+        let a = span_doc(0.6, 0.2, "aaaa");
+        let b = span_doc(0.1, 0.3, "bbbb");
         let d = ArtifactDiff::from_json_strs(&a, &b).expect("diffs");
         assert_eq!(d.digest_match, Some(false));
         let shifts: Vec<&Shift> = d.shifts().collect();
         assert_eq!(shifts.len(), 1);
-        assert_eq!(shifts[0].dimension, "trace.dominant_segment");
-        assert_eq!(shifts[0].a, "delivered→vscc_done");
-        assert_eq!(shifts[0].b, "vscc_done→committed");
+        assert_eq!(shifts[0].dimension, "span_graph.dominant_segment");
+        assert_eq!(shifts[0].a, "wait:vscc");
+        assert_eq!(shifts[0].b, "commit");
         let tel = &d.sections[0].telescopes[0];
-        assert!((tel.e2e_delta_s - (-0.4)).abs() < 1e-12);
+        assert!((tel.e2e_delta_s - (-4.0)).abs() < 1e-12);
         assert!(tel.residual_s() < 1e-9, "residual {}", tel.residual_s());
-        // Ranked by |delta|: the 0.5s segment-mean drop outranks everything
-        // except equal-magnitude e2e aggregates.
+        // Ranked by |delta|: the 5 s wait:vscc drop tops the section.
         let top = &d.sections[0].entries[0];
-        assert!(top.delta().abs() >= 0.4, "top entry {top:?}");
+        assert_eq!(top.name, "segments:wait:vscc.seconds", "top entry {top:?}");
         assert_eq!(d.provenance[0].seed, Some(42));
     }
 
@@ -1329,17 +1178,17 @@ mod tests {
 
     #[test]
     fn render_and_json_carry_the_findings() {
-        let a = trace_doc(0.6, 0.2, 8, 2, "aaaa");
-        let b = trace_doc(0.1, 0.3, 3, 7, "bbbb");
+        let a = span_doc(0.6, 0.2, "aaaa");
+        let b = span_doc(0.1, 0.3, "bbbb");
         let d = ArtifactDiff::from_json_strs(&a, &b).expect("diffs");
         let table = d.render_table();
-        assert!(table.contains("trace.dominant_segment"));
+        assert!(table.contains("span_graph.dominant_segment"));
         assert!(table.contains("MISMATCH"));
         assert!(table.contains("telescoping"));
         let json = d.to_json();
         assert!(json.contains("\"kind\":\"analysis\""));
         assert!(json.contains("\"digest_match\":false"));
-        assert!(json.contains("\"dimension\":\"trace.dominant_segment\""));
+        assert!(json.contains("\"dimension\":\"span_graph.dominant_segment\""));
         // The JSON we emit must parse with our own reader.
         let parsed = Json::parse(&json).expect("self-parse");
         assert!(parsed.get("sections").is_some());
@@ -1458,7 +1307,7 @@ mod tests {
         // output, a kernel profile and a bench report each cut mid-object,
         // plus JSONL health timelines cut before / inside their trailer.
         let truncated_summary = r#"{"hottest_station":"peer vscc","x":"#;
-        let truncated_analysis = r#"{"trace":{"e2e":{"mean_s":1.0},"segments":["#;
+        let truncated_analysis = r#"{"span_graph":{"mean_path_s":1.0,"segments":["#;
         let truncated_profile = r#"{"loop_ns":10,"entries":[{"label":"a""#;
         let truncated_bench = r#"{"schema_version":2,"scenarios":[{"name":"s1""#;
         let health_no_trailer = good
@@ -1508,7 +1357,7 @@ mod tests {
                 (("vscc", s2), ("endorse", s1))
             };
             format!(
-                "{{\"trace\":null,\"span_graph\":{{\"spans\":4,\"txs\":2,\"mean_path_s\":{},\
+                "{{\"span_graph\":{{\"spans\":4,\"txs\":2,\"mean_path_s\":{},\
                  \"max_residual_s\":0,\"segments\":[\
                  {{\"name\":\"{}\",\"seconds\":{}}},{{\"name\":\"{}\",\"seconds\":{}}}],\
                  \"actors\":[{{\"name\":\"peer0\",\"seconds\":{total}}}],\

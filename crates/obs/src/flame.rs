@@ -3,52 +3,28 @@
 //! Emits the `folded` format consumed by Brendan Gregg's `flamegraph.pl`,
 //! `inferno-flamegraph` and speedscope: one line per unique stack,
 //! `frame;frame;frame <value>`. Stacks are three frames deep —
-//! `fabricsim;<phase group>;<from→to segment>` — so the rendered graph
-//! shows the execute / order / validate split at the second level and the
-//! per-segment latency decomposition at the leaves, mirroring the analyzer
-//! table.
+//! `fabricsim;<execute|order|validate>;<segment label>` — so the rendered
+//! graph shows the paper's phase split at the second level and the span
+//! graph's critical-path segments (span kinds and `wait:` gaps) at the
+//! leaves, mirroring the `analyze --spans` dominance table.
 //!
-//! Values are summed virtual **nanoseconds** over committed spans (virtual
-//! time is integer nanoseconds, so the totals are exact). Divide a stack's
-//! total by `committed` and by 1e9 to recover the analyzer's per-committed-tx
-//! segment mean — the reconciliation the acceptance test locks to 1e-6.
+//! Values are critical-path virtual **nanoseconds** summed over every
+//! analyzed transaction. Divide a stack's total by the analysis' `txs` and
+//! by 1e9 to recover the per-transaction mean of that segment — the
+//! reconciliation the acceptance test locks to 1e-6.
 
-use crate::analyze::phase_group_of;
-use crate::span::TxSpan;
+use crate::critpath::{phase_group, SpanGraphAnalysis};
 
-/// Renders committed spans as collapsed stacks, in pipeline order.
-///
-/// Failure and incomplete spans contribute nothing (they have no end-to-end
-/// latency to attribute); an empty input yields an empty document.
-pub fn collapsed_stacks(spans: &[TxSpan]) -> String {
-    // Keyed by (from, to) pipeline indices so output order is causal.
-    let mut totals: std::collections::BTreeMap<(usize, usize), u128> =
-        std::collections::BTreeMap::new();
-    for span in spans.iter().filter(|s| s.is_committed()) {
-        for seg in span.segments() {
-            // reconstruct() only emits pipeline-phase segments; anything
-            // else would be a new phase kind and is simply not attributed.
-            let (Some(from_idx), Some(to_idx)) =
-                (seg.from.pipeline_index(), seg.to.pipeline_index())
-            else {
-                continue;
-            };
-            let key = (from_idx, to_idx);
-            // Round, don't truncate: dt is an integer count of nanoseconds
-            // that went through f64 subtraction.
-            *totals.entry(key).or_insert(0) += (seg.dt_s * 1e9).round() as u128;
-        }
-    }
+/// Renders a span-graph analysis as collapsed stacks, one line per segment
+/// label, dominant segment first. An analysis with no committed
+/// transactions yields an empty document.
+pub fn collapsed_stacks(analysis: &SpanGraphAnalysis) -> String {
     let mut out = String::new();
-    for ((from, to), ns) in totals {
-        let from = crate::event::TracePhase::PIPELINE[from];
-        let to = crate::event::TracePhase::PIPELINE[to];
-        out.push_str(&format!(
-            "fabricsim;{};{}→{} {ns}\n",
-            phase_group_of(from),
-            from.label(),
-            to.label()
-        ));
+    for (label, secs) in &analysis.segment_share {
+        // Round, don't truncate: the total went through f64 sums of
+        // integer-nanosecond virtual times.
+        let ns = (secs * 1e9).round() as u64;
+        out.push_str(&format!("fabricsim;{};{label} {ns}\n", phase_group(label)));
     }
     out
 }
@@ -56,70 +32,62 @@ pub fn collapsed_stacks(spans: &[TxSpan]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze::TraceAnalysis;
-    use crate::event::{PhaseEvent, TracePhase};
-    use crate::span::reconstruct;
+    use crate::spangraph::{span_id, SpanEvent, SpanKind};
 
-    fn ev(tx: &str, phase: TracePhase, t_s: f64) -> PhaseEvent {
-        PhaseEvent {
-            t_s,
-            tx: tx.into(),
-            phase,
-            station: "st".into(),
-            queue_depth: 0,
-            cum_queued_s: 0.0,
-            cum_service_s: 0.0,
+    fn span(trace: &str, kind: SpanKind, t0: f64, t1: f64, parent: u64) -> SpanEvent {
+        SpanEvent {
+            span_id: span_id(trace, kind, "peer0", 0),
+            parent_id: parent,
+            trace: trace.into(),
+            kind,
+            actor: "peer0".into(),
+            t0_s: t0,
+            t1_s: t1,
+            hop: 0,
         }
     }
 
     #[test]
     fn stacks_aggregate_and_reconcile_with_analyzer_means() {
-        let events = vec![
-            ev("a", TracePhase::Created, 1.0),
-            ev("a", TracePhase::Ordered, 1.25),
-            ev("a", TracePhase::Committed, 2.0),
-            ev("b", TracePhase::Created, 2.0),
-            ev("b", TracePhase::Ordered, 2.5),
-            ev("b", TracePhase::Committed, 2.6),
-            ev("c", TracePhase::Created, 3.0), // incomplete: excluded
-        ];
-        let spans = reconstruct(&events);
-        let folded = collapsed_stacks(&spans);
+        let prep = span("a", SpanKind::ClientPrep, 1.0, 1.25, 0);
+        let endorse = span("a", SpanKind::Endorse, 1.25, 1.5, prep.span_id);
+        let commit = span("a", SpanKind::Commit, 1.75, 2.0, endorse.span_id);
+        // "b" never commits: excluded from the critical-path analysis.
+        let incomplete = span("b", SpanKind::ClientPrep, 3.0, 3.1, 0);
+        let analysis = SpanGraphAnalysis::from_spans(&[prep, endorse, commit, incomplete]);
+        let folded = collapsed_stacks(&analysis);
         let lines: Vec<&str> = folded.lines().collect();
         assert_eq!(
             lines,
             vec![
-                "fabricsim;execute;created→ordered 750000000",
-                "fabricsim;order;ordered→committed 850000000",
+                "fabricsim;execute;client_prep 250000000",
+                "fabricsim;validate;commit 250000000",
+                "fabricsim;execute;endorse 250000000",
+                "fabricsim;validate;wait:commit 250000000",
             ]
         );
-        // Reconciliation: stack_ns / committed / 1e9 == analyzer mean_s.
-        let analysis = TraceAnalysis::from_spans(&spans, 0);
+        // Reconciliation: stack_ns / txs / 1e9 == per-tx segment share.
         for line in lines {
             let (stack, ns) = line.rsplit_once(' ').expect("folded line");
             let leaf = stack.rsplit(';').next().expect("leaf frame");
-            let seg = analysis
-                .segments
+            let (_, secs) = analysis
+                .segment_share
                 .iter()
-                .find(|s| s.name() == leaf)
-                .unwrap_or_else(|| panic!("analyzer lacks segment {leaf}"));
-            let mean_from_flame =
-                ns.parse::<u128>().expect("ns value") as f64 / 1e9 / analysis.committed as f64;
-            assert!(
-                (mean_from_flame - seg.mean_s).abs() < 1e-6,
-                "{leaf}: flame {mean_from_flame} vs analyzer {}",
-                seg.mean_s
-            );
+                .find(|(label, _)| label == leaf)
+                .unwrap_or_else(|| panic!("analysis lacks segment {leaf}"));
+            let txs = analysis.txs as f64;
+            let mean_from_flame = ns.parse::<u64>().expect("ns value") as f64 / 1e9 / txs;
+            assert!((mean_from_flame - secs / txs).abs() < 1e-6, "{leaf}");
         }
     }
 
     #[test]
     fn failures_and_empty_input_contribute_nothing() {
-        let events = vec![
-            ev("x", TracePhase::Created, 1.0),
-            ev("x", TracePhase::OverloadDropped, 1.1),
-        ];
-        assert_eq!(collapsed_stacks(&reconstruct(&events)), "");
-        assert_eq!(collapsed_stacks(&[]), "");
+        let uncommitted = [span("x", SpanKind::ClientPrep, 1.0, 1.1, 0)];
+        assert_eq!(
+            collapsed_stacks(&SpanGraphAnalysis::from_spans(&uncommitted)),
+            ""
+        );
+        assert_eq!(collapsed_stacks(&SpanGraphAnalysis::from_spans(&[])), "");
     }
 }

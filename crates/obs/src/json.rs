@@ -1,9 +1,9 @@
-//! A minimal recursive JSON reader for the crate's own artifacts.
+//! The crate's one JSON reader, plus the shared string escaper and the
+//! run-provenance header every JSONL artifact opens with.
 //!
-//! The repo is zero-dependency by policy, so the bench harness needs a small
-//! parser to read back `BENCH_fabricsim.json` baselines. This is a general
-//! (nested) JSON value parser, unlike the flat single-object reader in
-//! `event.rs` which stays specialized for the hot JSONL path.
+//! The repo is zero-dependency by policy, so every artifact the stack emits
+//! (bench baselines, `analyze --json` documents, span and health JSONL
+//! lines) is read back through this small general (nested) JSON parser.
 
 use std::collections::BTreeMap;
 
@@ -74,6 +74,108 @@ impl Json {
             _ => None,
         }
     }
+
+    /// Parses one JSONL line that must hold a JSON object.
+    pub(crate) fn parse_object(line: &str) -> Result<Json, String> {
+        match Json::parse(line)? {
+            obj @ Json::Obj(_) => Ok(obj),
+            _ => Err("expected a JSON object".into()),
+        }
+    }
+
+    /// Required object field.
+    pub(crate) fn field(&self, key: &str) -> Result<&Json, String> {
+        self.get(key)
+            .ok_or_else(|| format!("missing field {key:?}"))
+    }
+
+    /// Required numeric object field.
+    pub(crate) fn num_field(&self, key: &str) -> Result<f64, String> {
+        self.field(key)?
+            .as_f64()
+            .ok_or_else(|| format!("{key} must be a number"))
+    }
+
+    /// Required string object field.
+    pub(crate) fn str_field(&self, key: &str) -> Result<&str, String> {
+        self.field(key)?
+            .as_str()
+            .ok_or_else(|| format!("{key} must be a string"))
+    }
+}
+
+/// Run provenance embedded as the first line of a JSONL artifact: which run
+/// (seed + configuration digest) produced the file, so downstream tooling
+/// (`fabricsim diff`) can verify it is comparing like with like.
+///
+/// The line is a flat object with a `"provenance":1` discriminator field so
+/// record parsers can skip it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RunProvenance {
+    /// RNG seed of the run that produced the artifact.
+    pub seed: u64,
+    /// `SimConfig::digest()` of the run's configuration.
+    pub config_digest: String,
+}
+
+impl RunProvenance {
+    /// Serializes the provenance as one JSON object (no trailing newline).
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\"provenance\":1,\"seed\":{},\"config_digest\":\"{}\"}}",
+            self.seed,
+            escape(&self.config_digest)
+        )
+    }
+
+    /// Parses one provenance line produced by [`RunProvenance::to_json`].
+    ///
+    /// # Errors
+    /// A description of the first syntax or schema problem found.
+    pub fn from_json(line: &str) -> Result<RunProvenance, String> {
+        let obj = Json::parse_object(line)?;
+        match obj.field("provenance")? {
+            // Version discriminator: the writer emits the literal `1`.
+            Json::Num(n) if (*n - 1.0).abs() < f64::EPSILON => {}
+            _ => return Err("provenance version must be the number 1".into()),
+        }
+        let seed = match obj.field("seed")? {
+            Json::Num(n) if *n >= 0.0 => *n as u64,
+            _ => return Err("seed must be a non-negative number".into()),
+        };
+        Ok(RunProvenance {
+            seed,
+            config_digest: obj.str_field("config_digest")?.to_string(),
+        })
+    }
+}
+
+/// Cheap test for a provenance line: the substring check filters the hot
+/// path (record lines never contain the key), the parse confirms it is the
+/// object's *key*, not a string value.
+pub(crate) fn is_provenance_line(line: &str) -> bool {
+    line.contains("\"provenance\"")
+        && Json::parse(line).is_ok_and(|obj| obj.get("provenance").is_some())
+}
+
+/// JSON string escaping for the characters that can occur in station/tx names
+/// (plus full control-character coverage for safety).
+pub(crate) fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                out.push_str(&format!("\\u{:04x}", c as u32));
+            }
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 struct Parser<'a> {
@@ -301,6 +403,43 @@ mod tests {
             let v = Json::parse(text).unwrap_or_else(|e| panic!("{text}: {e}"));
             assert_eq!(v.as_f64(), Some(want), "{text}");
         }
+    }
+
+    #[test]
+    fn escaping_round_trips_special_characters() {
+        let name = "we\"ird\\name\twith\ncontrol\u{1}";
+        let doc = format!("{{\"station\":\"{}\"}}", escape(name));
+        let v = Json::parse(&doc).expect("escaped string parses");
+        assert_eq!(v.str_field("station"), Ok(name));
+    }
+
+    #[test]
+    fn provenance_round_trips() {
+        let prov = RunProvenance {
+            seed: 42,
+            config_digest: "ab12cd34ef56ab78".into(),
+        };
+        let line = prov.to_json();
+        assert!(is_provenance_line(&line));
+        assert_eq!(RunProvenance::from_json(&line), Ok(prov));
+    }
+
+    #[test]
+    fn provenance_parser_rejects_bad_lines() {
+        for bad in [
+            "{\"provenance\":2,\"seed\":1,\"config_digest\":\"x\"}",
+            "{\"provenance\":1,\"config_digest\":\"x\"}",
+            "{\"provenance\":1,\"seed\":-3,\"config_digest\":\"x\"}",
+            "{\"provenance\":1,\"seed\":1,\"config_digest\":7}",
+            "{\"seed\":1,\"config_digest\":\"x\"}",
+        ] {
+            assert!(RunProvenance::from_json(bad).is_err(), "{bad} should fail");
+        }
+        // A value "provenance" inside a record line must not trip the
+        // discriminator (the parse requires the *key*).
+        assert!(!is_provenance_line(
+            "{\"trace\":\"\\\"provenance\\\"\",\"kind\":\"endorse\"}"
+        ));
     }
 
     #[test]

@@ -5,10 +5,17 @@
 //! per-phase queueing out of the logs (§IV). This crate makes that
 //! methodology a first-class, reusable layer over the DES:
 //!
-//! * [`EventSink`] / [`Tracer`] — structured phase-transition events
-//!   (`tx`, `phase`, `station`, `t_s`, `queue_depth`) with a JSONL exporter
-//!   mirroring the paper's log format. Disabled sinks cost one branch per
-//!   call site — simulations pay nothing unless tracing is requested.
+//! * [`SpanEvent`] / [`SpanSink`] / [`SpanGraphAnalysis`] — the *causal span
+//!   graph*, the one per-transaction trace record: every unit of distributed
+//!   work (per-peer endorsement, OSN broadcast handling, Raft/Kafka message
+//!   legs, block cut, per-hop gossip delivery, per-peer VSCC/commit) as a
+//!   span with deterministic `span_id`/`parent_id`, recorded through a
+//!   bounded, deterministically head-sampled sink (disabled sinks cost one
+//!   branch per call site), written as JSONL, and analyzed into each
+//!   committed transaction's distributed critical path — span and `wait:`
+//!   segments that tile its end-to-end latency, the per-millisecond version
+//!   of the paper's Fig. 6/7 latency decomposition — with per-actor/per-hop
+//!   dominance, slowest-endorser and gossip-depth histograms.
 //! * [`LogHistogram`] — log-bucketed (HDR-style) latency histograms:
 //!   O(buckets) memory regardless of sample count, percentile queries exact
 //!   to within one bucket width.
@@ -19,17 +26,12 @@
 //!   end-to-end latency into per-station service vs. queueing time and names
 //!   the dominant queue per window, turning the paper's Finding 3 ("validate
 //!   is the bottleneck") into a computed artifact.
-//! * [`TxSpan`] / [`TraceAnalysis`] — offline trace analysis: reconstructs
-//!   per-transaction span waterfalls from a JSONL trace, aggregates
-//!   inter-phase segment latency distributions (queue-wait vs service), and
-//!   attributes each transaction's critical path to the segment that
-//!   dominated it — the per-millisecond version of the paper's Fig. 6/7
-//!   latency-decomposition discussion.
-//! * [`Json`] — a minimal recursive JSON reader so artifacts such as the
-//!   bench baseline can be parsed back without external dependencies.
+//! * [`Json`] — the crate's one JSON reader: a minimal recursive parser so
+//!   every artifact (bench baselines, analyses, span and health JSONL) can
+//!   be parsed back without external dependencies.
 //! * [`ArtifactDiff`] — differential analysis: pairwise comparison of any
-//!   two artifacts the stack emits (run summaries, trace/span-graph
-//!   analyses, kernel profiles, bench reports) with metrics ranked by
+//!   two artifacts the stack emits (run summaries, span-graph analyses,
+//!   kernel profiles, bench reports, health timelines) with metrics ranked by
 //!   `|delta|`, dominance [`Shift`] detection ("the bottleneck moved out of
 //!   VSCC"), per-segment deltas that telescope to the end-to-end latency
 //!   delta, and [`RunProvenance`] (`seed` + `config_digest`) verification so
@@ -40,19 +42,10 @@
 //!   `/metrics` (plus `/healthz`) from a dependency-free TCP listener.
 //!   Strictly write-only from the simulation's perspective, so enabling it
 //!   never perturbs a deterministic run.
-//! * [`chrome_trace`] / [`collapsed_stacks`] — standard-tooling exports:
-//!   Chrome Trace Event Format JSON for Perfetto and folded stacks for
-//!   flamegraph renderers, both derived from the same reconstructed spans
-//!   the analyzer uses.
-//! * [`SpanEvent`] / [`SpanSink`] / [`SpanGraphAnalysis`] — the *causal span
-//!   graph*: every unit of distributed work (per-peer endorsement, OSN
-//!   broadcast handling, Raft/Kafka message legs, block cut, per-hop gossip
-//!   delivery, per-peer VSCC/commit) as a span with deterministic
-//!   `span_id`/`parent_id`, recorded through a bounded, deterministically
-//!   head-sampled sink, analyzed into the true *distributed* critical path
-//!   (per-actor/per-hop dominance, slowest-endorser and gossip-depth
-//!   histograms), and exported with Chrome-trace flow events
-//!   ([`span_flow_trace`]) so Perfetto renders cross-actor arrows.
+//! * [`span_flow_trace`] / [`collapsed_stacks`] — standard-tooling exports
+//!   of the span graph: Chrome Trace Event Format JSON with flow events (so
+//!   Perfetto renders cross-actor arrows) and folded critical-path stacks
+//!   for flamegraph renderers.
 //! * [`OnlineHealth`] / [`HealthReport`] — the *online health plane*:
 //!   streaming EWMA/CUSUM regime detection (`stable` / `saturating` /
 //!   `overloaded`) per station and channel over the sampler's gauge sweeps,
@@ -65,13 +58,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod analyze;
 mod bottleneck;
 mod chrome;
 mod clock;
 mod critpath;
 mod diff;
-mod event;
 mod exporter;
 mod flame;
 mod hist;
@@ -80,34 +71,27 @@ mod online;
 mod registry;
 mod series;
 mod sink;
-mod span;
 mod spangraph;
 
-pub use analyze::{Dist, SegmentStats, SlowTx, TraceAnalysis};
 pub use bottleneck::{BottleneckReport, StationClass, TxStationBreakdown, WindowAttribution};
-pub use chrome::{chrome_trace, span_flow_trace};
+pub use chrome::span_flow_trace;
 pub use clock::WallClock;
-pub use critpath::{CriticalSegment, SpanGraphAnalysis, TxCriticalPath};
+pub use critpath::{phase_group, CriticalSegment, SpanGraphAnalysis, TxCriticalPath};
 pub use diff::{
     ArtifactDiff, ArtifactKind, DiffEntry, DiffError, DiffProvenance, DiffSection, Shift,
     TelescopeCheck,
 };
-pub use event::{parse_jsonl, parse_jsonl_with_provenance, PhaseEvent, RunProvenance, TracePhase};
 pub use exporter::{http_get, MetricsServer};
 pub use flame::collapsed_stacks;
 pub use hist::LogHistogram;
-pub use json::Json;
+pub use json::{Json, RunProvenance};
 pub use online::{
     HealthConfig, HealthEvent, HealthEventKind, HealthReport, HealthWindow, OnlineHealth, Regime,
     StationHealth, DEFAULT_HEALTH_CAPACITY, HEALTH_STATIONS, HEALTH_STATION_COUNT,
 };
 pub use registry::{validate_exposition, Counter, Gauge, LiveHistogram, MetricsRegistry};
 pub use series::{MetricsRecorder, TimeSeries};
-pub use sink::{
-    EventSink, JsonlFileSink, SpanSink, Tracer, DEFAULT_EVENT_CAPACITY, DEFAULT_SPAN_CAPACITY,
-    DEFAULT_SPAN_KIND_CAP,
-};
-pub use span::{reconstruct, Segment, TxSpan, PIPELINE_LEN};
+pub use sink::{JsonlFileSink, SpanSink, DEFAULT_SPAN_CAPACITY, DEFAULT_SPAN_KIND_CAP};
 pub use spangraph::{
     message_span_id, parse_spans_jsonl, parse_spans_jsonl_with_provenance, span_id, tx_sampled,
     SpanEvent, SpanKind,

@@ -27,8 +27,7 @@
 //! tile the run horizon exactly: `Σ_regime dwell_s == horizon_s` (to fp
 //! noise, checked at 1e-6 by `analyze --health` and CI).
 
-use crate::event::{escape, is_provenance_line, parse_flat_object, JsonValue};
-use crate::RunProvenance;
+use crate::json::{escape, is_provenance_line, Json, RunProvenance};
 
 /// Default capacity of the bounded health-event buffer.
 pub const DEFAULT_HEALTH_CAPACITY: usize = 4096;
@@ -206,36 +205,22 @@ impl HealthEvent {
     /// # Errors
     /// A description of the first syntax or schema problem found.
     pub fn from_json(line: &str) -> Result<HealthEvent, String> {
-        let fields = parse_flat_object(line)?;
-        let get = |k: &str| {
-            fields
-                .iter()
-                .find(|(key, _)| key == k)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing field {k:?}"))
-        };
-        let num = |k: &str| match get(k)? {
-            JsonValue::Number(n) => Ok(*n),
-            _ => Err(format!("{k} must be a number")),
-        };
-        let string = |k: &str| match get(k)? {
-            JsonValue::String(s) => Ok(s.clone()),
-            _ => Err(format!("{k} must be a string")),
-        };
-        let kind = HealthEventKind::from_label(&string("kind")?)
+        let obj = Json::parse_object(line)?;
+        let string = |k: &str| obj.str_field(k).map(str::to_string);
+        let kind = HealthEventKind::from_label(obj.str_field("kind")?)
             .ok_or_else(|| "unknown health event kind".to_string())?;
-        let channel = num("channel")?;
+        let channel = obj.num_field("channel")?;
         if !channel.is_finite() || channel < 0.0 {
             return Err("channel must be a non-negative number".into());
         }
         Ok(HealthEvent {
-            t_s: num("t_s")?,
+            t_s: obj.num_field("t_s")?,
             kind,
             channel: channel as u32,
             station: string("station")?,
             from: string("from")?,
             to: string("to")?,
-            value: num("value")?,
+            value: obj.num_field("value")?,
         })
     }
 }
@@ -774,33 +759,21 @@ impl StationHealth {
     /// # Errors
     /// A description of the first syntax or schema problem found.
     pub fn from_json(line: &str) -> Result<StationHealth, String> {
-        let fields = parse_flat_object(line)?;
-        let get = |k: &str| fields.iter().find(|(key, _)| key == k).map(|(_, v)| v);
-        let num = |k: &str| match get(k) {
-            Some(JsonValue::Number(n)) => Ok(*n),
-            Some(_) => Err(format!("{k} must be a number")),
-            None => Err(format!("missing field {k:?}")),
-        };
-        let channel = num("channel")?;
+        let obj = Json::parse_object(line)?;
+        let channel = obj.num_field("channel")?;
         if !channel.is_finite() || channel < 0.0 {
             return Err("channel must be a non-negative number".into());
         }
-        let station = match get("station") {
-            Some(JsonValue::String(s)) => s.clone(),
-            _ => return Err("station must be a string".into()),
-        };
-        let regime = match get("regime") {
-            Some(JsonValue::String(s)) => {
-                Regime::from_label(s).ok_or_else(|| format!("unknown regime {s:?}"))?
-            }
-            _ => return Err("regime must be a string".into()),
-        };
+        let station = obj.str_field("station")?.to_string();
+        let regime_label = obj.str_field("regime")?;
+        let regime = Regime::from_label(regime_label)
+            .ok_or_else(|| format!("unknown regime {regime_label:?}"))?;
         let mut dwell_s = [0.0; 3];
         let mut onset_s = [None; 3];
         for (i, r) in Regime::ALL.into_iter().enumerate() {
-            dwell_s[i] = num(&format!("dwell_{}_s", r.label()))?;
-            onset_s[i] = match get(&format!("onset_{}_s", r.label())) {
-                Some(JsonValue::Number(n)) => Some(*n),
+            dwell_s[i] = obj.num_field(&format!("dwell_{}_s", r.label()))?;
+            onset_s[i] = match obj.get(&format!("onset_{}_s", r.label())) {
+                Some(Json::Num(n)) => Some(*n),
                 Some(_) => return Err("onset must be a number".into()),
                 None => None,
             };
@@ -918,7 +891,7 @@ impl HealthReport {
         let mut prov = None;
         let mut events = Vec::new();
         let mut stations = Vec::new();
-        let mut summary: Option<Vec<(String, JsonValue)>> = None;
+        let mut summary: Option<Json> = None;
         for (i, line) in text.lines().enumerate() {
             let line_no = i + 1;
             if line.trim().is_empty() {
@@ -938,14 +911,13 @@ impl HealthReport {
                 );
                 continue;
             }
-            let fields = parse_flat_object(line).map_err(|e| format!("line {line_no}: {e}"))?;
-            let has = |k: &str| fields.iter().any(|(key, _)| key == k);
-            if has("station_health") {
+            let obj = Json::parse_object(line).map_err(|e| format!("line {line_no}: {e}"))?;
+            if obj.get("station_health").is_some() {
                 stations.push(
                     StationHealth::from_json(line).map_err(|e| format!("line {line_no}: {e}"))?,
                 );
-            } else if has("health_summary") {
-                summary = Some(fields);
+            } else if obj.get("health_summary").is_some() {
+                summary = Some(obj);
             } else {
                 events.push(
                     HealthEvent::from_json(line).map_err(|e| format!("line {line_no}: {e}"))?,
@@ -955,8 +927,8 @@ impl HealthReport {
         let summary = summary.ok_or_else(|| {
             "missing health_summary trailer (truncated health artifact?)".to_string()
         })?;
-        let num = |k: &str| match summary.iter().find(|(key, _)| key == k) {
-            Some((_, JsonValue::Number(n))) => Ok(*n),
+        let num = |k: &str| match summary.get(k) {
+            Some(Json::Num(n)) => Ok(*n),
             Some(_) => Err(format!("summary field {k} must be a number")),
             None => Err(format!("summary missing field {k:?}")),
         };
@@ -1225,7 +1197,7 @@ mod tests {
         assert!(table.contains("PASS @ 1e-6"), "{table}");
         let json = report.to_json();
         assert!(json.contains("\"telescoping_error_s\":"), "{json}");
-        let parsed = crate::json::Json::parse(&json).expect("self-parse");
+        let parsed = Json::parse(&json).expect("self-parse");
         assert!(parsed.get("stations").is_some());
         assert!(parsed.get("events").is_some());
     }

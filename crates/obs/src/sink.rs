@@ -1,13 +1,13 @@
-//! Event sinks: where phase events and spans go, if anywhere.
+//! Span sinks: where causal spans go, if anywhere.
 //!
-//! The hot path is the *disabled* case — every instrumentation point in the
-//! simulator guards on [`EventSink::enabled`] / [`SpanSink::enabled`], which
-//! compiles to a single flag check, so runs without tracing pay one
-//! predictable branch per phase transition and allocate nothing.
+//! The hot path is the *disabled* case — every span emission point in the
+//! simulator guards on [`SpanSink::enabled`], which compiles to a single
+//! flag check, so runs without tracing pay one predictable branch per
+//! emission point and allocate nothing.
 //!
-//! Both in-memory sinks are **bounded rings**: when the configured capacity
-//! is reached the oldest record is evicted and counted, so a long run
-//! degrades to "the most recent N events plus an explicit `dropped` count"
+//! The in-memory sink is a **bounded ring**: when the configured capacity
+//! is reached the oldest span is evicted and counted, so a long run
+//! degrades to "the most recent N spans plus an explicit `dropped` count"
 //! instead of unbounded growth. Dropping is a property of the *observer*
 //! only — the simulation never reads a sink, so capacity can never perturb
 //! a run (`fabricsim-lint`'s `no-unbounded-sink` rule audits every buffer
@@ -18,144 +18,13 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-use crate::event::PhaseEvent;
 use crate::spangraph::{tx_sampled, SpanEvent, SpanKind};
-
-/// Default phase-event ring capacity (~1M events ≈ a few hundred MB worst
-/// case; far above anything the stock experiment matrix emits).
-pub const DEFAULT_EVENT_CAPACITY: usize = 1 << 20;
 
 /// Default span ring capacity.
 pub const DEFAULT_SPAN_CAPACITY: usize = 1 << 20;
 
 /// Default per-family (per [`SpanKind`]) cardinality cap.
 pub const DEFAULT_SPAN_KIND_CAP: u64 = 1 << 19;
-
-/// Anything that can consume phase events.
-pub trait Tracer {
-    /// Whether events should be constructed at all. Call sites must guard on
-    /// this before building a [`PhaseEvent`] (constructing one allocates).
-    fn enabled(&self) -> bool;
-    /// Consumes one event. No-op when disabled.
-    fn record(&mut self, ev: PhaseEvent);
-}
-
-/// The standard sink: disabled (free) or collecting into a bounded ring.
-#[derive(Debug, Clone, Default)]
-pub enum EventSink {
-    /// Drop everything; `enabled()` is false.
-    #[default]
-    Disabled,
-    /// Ring of the most recent events, in emission (= virtual time) order.
-    Memory {
-        /// The ring buffer (oldest at the front).
-        buf: VecDeque<PhaseEvent>,
-        /// Maximum events retained before eviction.
-        capacity: usize,
-        /// Events evicted because the ring was full.
-        dropped: u64,
-    },
-}
-
-impl EventSink {
-    /// A sink that records nothing.
-    pub fn disabled() -> Self {
-        EventSink::Disabled
-    }
-
-    /// A sink collecting events in memory, bounded at
-    /// [`DEFAULT_EVENT_CAPACITY`].
-    pub fn in_memory() -> Self {
-        EventSink::in_memory_bounded(DEFAULT_EVENT_CAPACITY)
-    }
-
-    /// A sink collecting at most `capacity` events: once full, the oldest
-    /// event is evicted per record and counted in
-    /// [`EventSink::dropped_events`].
-    ///
-    /// # Panics
-    /// Panics if `capacity == 0`.
-    pub fn in_memory_bounded(capacity: usize) -> Self {
-        assert!(capacity > 0, "event sink capacity must be positive");
-        EventSink::Memory {
-            // lint:allow(no-unbounded-sink) -- bounded ring: record() evicts the oldest
-            // entry at `capacity` and counts it in `dropped`.
-            buf: VecDeque::with_capacity(capacity.min(DEFAULT_EVENT_CAPACITY)),
-            capacity,
-            dropped: 0,
-        }
-    }
-
-    /// Whether call sites should construct and record events.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        matches!(self, EventSink::Memory { .. })
-    }
-
-    /// Records one event (no-op when disabled). At capacity the oldest event
-    /// is evicted — the tail of a trace matters more than its head when a
-    /// run overflows the ring.
-    #[inline]
-    pub fn record(&mut self, ev: PhaseEvent) {
-        if let EventSink::Memory {
-            buf,
-            capacity,
-            dropped,
-        } = self
-        {
-            if buf.len() >= *capacity {
-                buf.pop_front();
-                *dropped += 1;
-            }
-            buf.push_back(ev);
-        }
-    }
-
-    /// Events evicted so far because the ring was full (0 when disabled).
-    pub fn dropped_events(&self) -> u64 {
-        match self {
-            EventSink::Disabled => 0,
-            EventSink::Memory { dropped, .. } => *dropped,
-        }
-    }
-
-    /// The events collected so far, oldest first (empty when disabled).
-    pub fn events(&self) -> impl Iterator<Item = &PhaseEvent> {
-        let buf = match self {
-            EventSink::Disabled => None,
-            EventSink::Memory { buf, .. } => Some(buf),
-        };
-        buf.into_iter().flatten()
-    }
-
-    /// Consumes the sink, yielding its events oldest-first.
-    pub fn into_events(self) -> Vec<PhaseEvent> {
-        match self {
-            // lint:allow(no-unbounded-sink) -- transient return value, not a sink buffer.
-            EventSink::Disabled => Vec::new(),
-            EventSink::Memory { buf, .. } => Vec::from(buf),
-        }
-    }
-
-    /// Renders every collected event as a JSONL document.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for ev in self.events() {
-            out.push_str(&ev.to_json());
-            out.push('\n');
-        }
-        out
-    }
-}
-
-impl Tracer for EventSink {
-    fn enabled(&self) -> bool {
-        EventSink::enabled(self)
-    }
-    fn record(&mut self, ev: PhaseEvent) {
-        EventSink::record(self, ev)
-    }
-}
 
 /// Bounded, deterministically-sampled sink for [`SpanEvent`]s.
 ///
@@ -302,13 +171,13 @@ impl SpanSink {
     }
 }
 
-/// A buffered JSONL trace writer streaming events straight to disk.
+/// A buffered JSONL writer streaming spans straight to disk.
 ///
-/// Events are rendered as one JSON object per line through a
-/// [`BufWriter`], so long traces never accumulate in memory the way
-/// [`EventSink::Memory`] does. The buffer flushes on [`JsonlFileSink::finish`]
-/// *and* on drop — a CLI that errors out (or a caller that forgets `finish`)
-/// still leaves a parseable, line-complete file behind; only events buffered
+/// Spans are rendered as one JSON object per line through a [`BufWriter`],
+/// so long traces never accumulate in a second in-memory copy. The buffer
+/// flushes on [`JsonlFileSink::finish`] *and* on drop — a CLI that errors
+/// out (or a caller that forgets `finish`) still leaves a parseable,
+/// line-complete file behind; only lines buffered
 /// after the last successful write to a failing device can be lost, and
 /// `finish` is the path that reports such errors instead of swallowing them.
 #[derive(Debug)]
@@ -338,13 +207,13 @@ impl JsonlFileSink {
         &self.path
     }
 
-    /// Events written so far.
+    /// Lines written so far.
     pub fn written(&self) -> u64 {
         self.written
     }
 
     /// Writes a run-provenance header line (see
-    /// [`crate::RunProvenance`]) — call once, before the first event/span,
+    /// [`crate::RunProvenance`]) — call once, before the first span,
     /// so downstream tooling can verify which run produced the file. Counts
     /// toward [`JsonlFileSink::written`] like any other line.
     ///
@@ -354,16 +223,7 @@ impl JsonlFileSink {
         self.write_line(&prov.to_json())
     }
 
-    /// Writes one event as a JSONL line.
-    ///
-    /// # Errors
-    /// The underlying write error.
-    pub fn write_event(&mut self, ev: &PhaseEvent) -> std::io::Result<()> {
-        self.write_line(&ev.to_json())
-    }
-
-    /// Writes one span as a JSONL line (span files use the same streaming
-    /// writer as phase-event traces).
+    /// Writes one span as a JSONL line.
     ///
     /// # Errors
     /// The underlying write error.
@@ -410,33 +270,10 @@ impl Drop for JsonlFileSink {
     }
 }
 
-impl Tracer for JsonlFileSink {
-    fn enabled(&self) -> bool {
-        true
-    }
-    fn record(&mut self, ev: PhaseEvent) {
-        // The Tracer trait has no error channel; defer failures to `finish`.
-        let _ = self.write_event(&ev);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::TracePhase;
-    use crate::spangraph::span_id;
-
-    fn ev(t_s: f64) -> PhaseEvent {
-        PhaseEvent {
-            t_s,
-            tx: "aa".into(),
-            phase: TracePhase::Created,
-            station: "s".into(),
-            queue_depth: 0,
-            cum_queued_s: 0.0,
-            cum_service_s: 0.0,
-        }
-    }
+    use crate::spangraph::{parse_spans_jsonl, parse_spans_jsonl_with_provenance, span_id};
 
     fn span(trace: &str, kind: SpanKind, t0: f64) -> SpanEvent {
         SpanEvent {
@@ -453,12 +290,42 @@ mod tests {
 
     #[test]
     fn disabled_sink_records_nothing() {
-        let mut sink = EventSink::disabled();
+        let mut sink = SpanSink::default();
         assert!(!sink.enabled());
-        sink.record(ev(1.0));
-        assert_eq!(sink.events().count(), 0);
-        assert_eq!(sink.dropped_events(), 0);
+        sink.record(span("ab12", SpanKind::Commit, 1.0));
+        assert_eq!(sink.spans().count(), 0);
         assert_eq!(sink.to_jsonl(), "");
+        assert!(sink.into_spans().is_empty());
+    }
+
+    #[test]
+    fn memory_sink_collects_in_order() {
+        let mut sink = SpanSink::bounded(42, 1.0, 16, u64::MAX);
+        assert!(sink.enabled());
+        sink.record(span("ab12", SpanKind::Endorse, 1.0));
+        sink.record(span("ab12", SpanKind::Vscc, 2.0));
+        let ts: Vec<f64> = sink.spans().map(|s| s.t0_s).collect();
+        assert_eq!(ts, vec![1.0, 2.0]);
+        let jsonl = sink.to_jsonl();
+        assert_eq!(jsonl.lines().count(), 2);
+        assert_eq!(parse_spans_jsonl(&jsonl).expect("parses").len(), 2);
+        assert_eq!(sink.dropped_spans(), 0);
+        assert_eq!(sink.into_spans().len(), 2);
+    }
+
+    #[test]
+    fn bounded_event_sink_evicts_oldest_and_counts_drops() {
+        // Both bounds at once: the family cap rejects before the ring
+        // evicts, and the total counts each loss exactly once.
+        let mut sink = SpanSink::bounded(42, 1.0, 3, 4);
+        for i in 0..10 {
+            sink.record(span(&format!("{i:04x}"), SpanKind::Endorse, i as f64));
+        }
+        assert_eq!(sink.kind_dropped()[SpanKind::Endorse.index()], 6);
+        assert_eq!(sink.evicted(), 1);
+        assert_eq!(sink.dropped_spans(), 7);
+        let kept: Vec<f64> = sink.spans().map(|s| s.t0_s).collect();
+        assert_eq!(kept, vec![1.0, 2.0, 3.0], "ring keeps the newest admitted");
     }
 
     #[test]
@@ -467,17 +334,17 @@ mod tests {
             std::env::temp_dir().join(format!("fabricsim-sink-drop-{}.jsonl", std::process::id()));
         {
             let mut sink = JsonlFileSink::create(&path).expect("create");
-            assert!(Tracer::enabled(&sink));
             for i in 0..100 {
-                sink.record(ev(i as f64));
+                sink.write_span(&span(&format!("{i:04x}"), SpanKind::Endorse, i as f64))
+                    .expect("write");
             }
             assert_eq!(sink.written(), 100);
             // No finish(): the sink is dropped here, as on an early CLI exit.
         }
         let text = std::fs::read_to_string(&path).expect("file exists");
-        let events = crate::event::parse_jsonl(&text).expect("drop-flushed file parses");
-        assert_eq!(events.len(), 100);
-        assert_eq!(events[99].t_s, 99.0);
+        let spans = parse_spans_jsonl(&text).expect("drop-flushed file parses");
+        assert_eq!(spans.len(), 100);
+        assert_eq!(spans[99].t0_s, 99.0);
         std::fs::remove_file(&path).ok();
     }
 
@@ -488,47 +355,22 @@ mod tests {
             std::process::id()
         ));
         let mut sink = JsonlFileSink::create(&path).expect("create");
-        sink.write_event(&ev(1.0)).expect("write");
-        sink.write_event(&ev(2.0)).expect("write");
+        sink.write_span(&span("ab12", SpanKind::Endorse, 1.0))
+            .expect("write");
+        sink.write_span(&span("ab12", SpanKind::Vscc, 2.0))
+            .expect("write");
         assert_eq!(sink.path(), path.as_path());
         assert_eq!(sink.finish().expect("finish"), 2);
-        let events = crate::event::parse_jsonl(&std::fs::read_to_string(&path).expect("read"))
-            .expect("parses");
-        assert_eq!(events.len(), 2);
+        let spans =
+            parse_spans_jsonl(&std::fs::read_to_string(&path).expect("read")).expect("parses");
+        assert_eq!(spans.len(), 2);
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn memory_sink_collects_in_order() {
-        let mut sink = EventSink::in_memory();
-        assert!(sink.enabled());
-        sink.record(ev(1.0));
-        sink.record(ev(2.0));
-        assert_eq!(sink.events().count(), 2);
-        let ts: Vec<f64> = sink.events().map(|e| e.t_s).collect();
-        assert!(ts[0] < ts[1]);
-        let jsonl = sink.to_jsonl();
-        assert_eq!(jsonl.lines().count(), 2);
-        assert_eq!(sink.dropped_events(), 0);
-        assert_eq!(sink.into_events().len(), 2);
-    }
-
-    #[test]
-    fn bounded_event_sink_evicts_oldest_and_counts_drops() {
-        let mut sink = EventSink::in_memory_bounded(3);
-        for i in 0..10 {
-            sink.record(ev(i as f64));
-        }
-        assert_eq!(sink.dropped_events(), 7);
-        let kept: Vec<f64> = sink.events().map(|e| e.t_s).collect();
-        assert_eq!(kept, vec![7.0, 8.0, 9.0], "tail survives, head evicted");
-        assert_eq!(sink.into_events().len(), 3);
     }
 
     #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_event_sink_is_rejected() {
-        let _ = EventSink::in_memory_bounded(0);
+        let _ = SpanSink::bounded(42, 1.0, 0, u64::MAX);
     }
 
     #[test]
@@ -594,12 +436,13 @@ mod tests {
         };
         let mut sink = JsonlFileSink::create(&path).expect("create");
         sink.write_provenance(&prov).expect("write provenance");
-        sink.write_event(&ev(1.0)).expect("write");
+        sink.write_span(&span("ab12", SpanKind::Endorse, 1.0))
+            .expect("write");
         assert_eq!(sink.finish().expect("finish"), 2);
         let text = std::fs::read_to_string(&path).expect("read");
-        let (p, events) = crate::event::parse_jsonl_with_provenance(&text).expect("parses");
+        let (p, spans) = parse_spans_jsonl_with_provenance(&text).expect("parses");
         assert_eq!(p, Some(prov));
-        assert_eq!(events.len(), 1);
+        assert_eq!(spans.len(), 1);
         std::fs::remove_file(&path).ok();
     }
 
@@ -617,7 +460,7 @@ mod tests {
         }
         assert_eq!(sink.finish().expect("finish"), 2);
         let text = std::fs::read_to_string(&path).expect("read");
-        let back = crate::spangraph::parse_spans_jsonl(&text).expect("parses");
+        let back = parse_spans_jsonl(&text).expect("parses");
         assert_eq!(back, spans);
         std::fs::remove_file(&path).ok();
     }

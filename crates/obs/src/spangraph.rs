@@ -1,10 +1,10 @@
 //! Causal span graph: distributed units of work with deterministic ids.
 //!
-//! The flat [`crate::PhaseEvent`] trace answers *when* a transaction crossed
-//! each pipeline boundary as seen from the observer peer — but not *which*
-//! endorsing peer straggled, *which* gossip hop dominated block propagation,
-//! or where a Raft/Kafka round stalled. A [`SpanEvent`] answers those: every
-//! unit of distributed work (one peer's endorsement, one OSN's broadcast
+//! The span graph is fabricsim's one per-transaction trace record. It
+//! answers *when* a transaction crossed each pipeline stage and also
+//! *which* endorsing peer straggled, *which* gossip hop dominated block
+//! propagation, or where a Raft/Kafka round stalled: every unit of
+//! distributed work (one peer's endorsement, one OSN's broadcast
 //! handling, one Raft append leg, one gossip hop, one peer's VSCC pass)
 //! becomes a `[t0, t1]` interval with a **deterministic** `span_id` and a
 //! `parent_id` naming its causal predecessor, so two identical-seed runs
@@ -32,7 +32,7 @@
 
 use std::fmt;
 
-use crate::event::{escape, parse_flat_object, JsonValue};
+use crate::json::{escape, is_provenance_line, Json, RunProvenance};
 
 /// The kind of distributed work a [`SpanEvent`] covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -254,50 +254,33 @@ impl SpanEvent {
     /// # Errors
     /// A description of the first syntax or schema problem found.
     pub fn from_json(line: &str) -> Result<SpanEvent, String> {
-        let fields = parse_flat_object(line)?;
-        let get = |k: &str| {
-            fields
-                .iter()
-                .find(|(key, _)| key == k)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing field {k:?}"))
+        let obj = Json::parse_object(line)?;
+        let hex_id = |k: &str| match obj.field(k)? {
+            Json::Str(s) => u64::from_str_radix(s, 16).map_err(|e| format!("bad {k} {s:?}: {e}")),
+            _ => Err(format!("{k} must be a hex string")),
         };
-        let hex_id = |k: &str| match get(k)? {
-            JsonValue::String(s) => {
-                u64::from_str_radix(s, 16).map_err(|e| format!("bad {k} {s:?}: {e}"))
-            }
-            JsonValue::Number(_) => Err(format!("{k} must be a hex string")),
-        };
-        let string = |k: &str| match get(k)? {
-            JsonValue::String(s) => Ok(s.clone()),
-            JsonValue::Number(_) => Err(format!("{k} must be a string")),
-        };
-        let number = |k: &str| match get(k)? {
-            JsonValue::Number(n) => Ok(*n),
-            JsonValue::String(_) => Err(format!("{k} must be a number")),
-        };
-        let kind_label = string("kind")?;
-        let kind = SpanKind::from_label(&kind_label)
+        let kind_label = obj.str_field("kind")?;
+        let kind = SpanKind::from_label(kind_label)
             .ok_or_else(|| format!("unknown span kind {kind_label:?}"))?;
-        let hop_n = number("hop")?;
+        let hop_n = obj.num_field("hop")?;
         if hop_n < 0.0 {
             return Err("hop must be non-negative".into());
         }
         Ok(SpanEvent {
             span_id: hex_id("span")?,
             parent_id: hex_id("parent")?,
-            trace: string("trace")?,
+            trace: obj.str_field("trace")?.to_string(),
             kind,
-            actor: string("actor")?,
-            t0_s: number("t0_s")?,
-            t1_s: number("t1_s")?,
+            actor: obj.str_field("actor")?.to_string(),
+            t0_s: obj.num_field("t0_s")?,
+            t1_s: obj.num_field("t1_s")?,
             hop: hop_n as u32,
         })
     }
 }
 
 /// Parses a whole span JSONL document (one span per non-empty line).
-/// Provenance lines (see [`crate::RunProvenance`]) are skipped; use
+/// Provenance lines (see [`RunProvenance`]) are skipped; use
 /// [`parse_spans_jsonl_with_provenance`] to recover them.
 ///
 /// # Errors
@@ -307,24 +290,23 @@ pub fn parse_spans_jsonl(text: &str) -> Result<Vec<SpanEvent>, String> {
 }
 
 /// Parses a whole span JSONL document, returning the embedded
-/// [`crate::RunProvenance`] (if any) alongside the spans — the span twin of
-/// [`crate::parse_jsonl_with_provenance`], with the same duplicate-line
-/// rejection.
+/// [`RunProvenance`] (if any) alongside the spans. The provenance line is
+/// written first by the CLI, but any position is accepted; a second
+/// provenance line is an error (two runs' artifacts concatenated by mistake).
 ///
 /// # Errors
 /// The line number and description of the first bad line.
 pub fn parse_spans_jsonl_with_provenance(
     text: &str,
-) -> Result<(Option<crate::RunProvenance>, Vec<SpanEvent>), String> {
+) -> Result<(Option<RunProvenance>, Vec<SpanEvent>), String> {
     let mut prov = None;
     let mut out = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        if crate::event::is_provenance_line(line) {
-            let p = crate::RunProvenance::from_json(line)
-                .map_err(|e| format!("line {}: {e}", i + 1))?;
+        if is_provenance_line(line) {
+            let p = RunProvenance::from_json(line).map_err(|e| format!("line {}: {e}", i + 1))?;
             if prov.is_some() {
                 return Err(format!(
                     "line {}: duplicate provenance line (two runs' spans concatenated?)",
@@ -459,6 +441,40 @@ mod tests {
                 SpanKind::Deliver,
                 SpanKind::GossipHop,
             ]
+        );
+    }
+
+    #[test]
+    fn provenance_header_is_skipped_and_duplicates_rejected() {
+        let prov = RunProvenance {
+            seed: 42,
+            config_digest: "ab12cd34ef56ab78".into(),
+        };
+        let spans = [span(SpanKind::ClientPrep), span(SpanKind::Commit)];
+        let doc = format!(
+            "{}\n{}\n{}\n",
+            prov.to_json(),
+            spans[0].to_json(),
+            spans[1].to_json()
+        );
+        assert_eq!(parse_spans_jsonl(&doc).expect("parses"), spans);
+        let (p, back) = parse_spans_jsonl_with_provenance(&doc).expect("parses");
+        assert_eq!(p, Some(prov.clone()));
+        assert_eq!(back, spans);
+        // Headerless documents still parse, with no provenance.
+        let (p, back) = parse_spans_jsonl_with_provenance(&spans[0].to_json()).expect("parses");
+        assert_eq!((p, back.len()), (None, 1));
+        // A second provenance line is two runs concatenated: an error.
+        let twice = format!("{}\n{}\n", prov.to_json(), prov.to_json());
+        assert!(parse_spans_jsonl_with_provenance(&twice)
+            .expect_err("duplicate rejected")
+            .contains("duplicate provenance"));
+        // A trace id spelled "provenance" is a span, not a header.
+        let mut odd = span(SpanKind::Endorse);
+        odd.trace = "\"provenance\"".into();
+        assert_eq!(
+            parse_spans_jsonl(&odd.to_json()).expect("parses"),
+            vec![odd]
         );
     }
 

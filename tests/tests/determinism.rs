@@ -41,8 +41,8 @@ fn identical_seeds_give_byte_identical_summary_json_across_pool_sizes() {
 
 #[test]
 fn observability_config_never_changes_the_report() {
-    // The entire observability plane is write-only: phase tracing, span-graph
-    // recording at any head-sampling rate, and the kernel self-profiler must
+    // The entire observability plane is write-only: span-graph recording at
+    // any head-sampling rate, and the kernel self-profiler must
     // all leave the serialized SummaryReport byte-identical. This is the
     // contract that lets CI flip tracing on without invalidating baselines.
     let cfg = quick_config(OrdererType::Raft, PolicySpec::AndX(3), 90.0);
@@ -53,7 +53,6 @@ fn observability_config_never_changes_the_report() {
     );
     for sample in [0.0, 0.01, 0.5, 1.0] {
         let mut c = cfg.clone();
-        c.obs.trace_events = true;
         c.obs.span_events = true;
         c.obs.trace_sample = sample;
         let json = Simulation::new(c).run().to_json();

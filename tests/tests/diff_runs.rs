@@ -5,7 +5,7 @@
 //! detect the shift and account for the latency change segment-by-segment
 //! (the telescoping contract).
 
-use fabricsim::obs::{ArtifactDiff, ArtifactKind, TraceAnalysis};
+use fabricsim::obs::{ArtifactDiff, ArtifactKind, SpanGraphAnalysis};
 use fabricsim::report::run_summary_json;
 use fabricsim::{OrdererType, PolicySpec, SimConfig, Simulation};
 
@@ -24,7 +24,7 @@ fn pool_config(pool: usize) -> SimConfig {
         ..SimConfig::default()
     };
     cfg.cost.validator_pool_size = pool;
-    cfg.obs.trace_events = true;
+    cfg.obs.span_events = true;
     cfg
 }
 
@@ -59,17 +59,17 @@ fn pool_widening_shifts_the_bottleneck_out_of_vscc() {
         shift.b
     );
 
-    // Trace-analysis diff: the per-segment latency deltas must telescope to
-    // the end-to-end delta within 1e-6 s, and the dominant critical-path
-    // segment must shift away from the VSCC wait.
-    let ta = TraceAnalysis::from_events(&narrow.observability.events, 3);
-    let tb = TraceAnalysis::from_events(&wide.observability.events, 3);
-    let tdiff = ArtifactDiff::from_json_strs(&ta.to_json(), &tb.to_json()).expect("trace diff");
+    // Span-analysis diff: the per-segment critical-path deltas must
+    // telescope to the total-path delta within 1e-6 s, and the dominant
+    // critical-path segment must shift away from the VSCC wait.
+    let ta = SpanGraphAnalysis::from_spans(&narrow.observability.spans);
+    let tb = SpanGraphAnalysis::from_spans(&wide.observability.spans);
+    let tdiff = ArtifactDiff::from_json_strs(&ta.to_json(), &tb.to_json()).expect("span diff");
     assert_eq!(tdiff.kind, ArtifactKind::Analysis);
     let residual = tdiff.max_telescope_residual_s();
     assert!(
         residual < 1e-6,
-        "segment deltas must telescope to the e2e delta (residual {residual:e})"
+        "segment deltas must telescope to the path delta (residual {residual:e})"
     );
     assert!(
         tdiff
@@ -81,17 +81,15 @@ fn pool_widening_shifts_the_bottleneck_out_of_vscc() {
     );
     let seg_shift = tdiff
         .shifts()
-        .find(|s| s.dimension == "trace.dominant_segment")
+        .find(|s| s.dimension == "span_graph.dominant_segment")
         .expect("dominant critical-path segment must shift");
-    assert!(
-        seg_shift.a.contains("vscc"),
-        "pool=1 critical path should be dominated by the VSCC segment, got {:?}",
-        seg_shift.a
+    assert_eq!(
+        seg_shift.a, "wait:vscc",
+        "pool=1 critical path should be dominated by the wait for VSCC"
     );
-    assert!(
-        !seg_shift.b.contains("vscc"),
-        "pool=4 critical path should leave the VSCC segment, got {:?}",
-        seg_shift.b
+    assert_ne!(
+        seg_shift.b, "wait:vscc",
+        "pool=4 critical path should leave the wait for VSCC"
     );
 }
 
@@ -105,9 +103,8 @@ fn self_diff_is_exactly_zero() {
     assert_eq!(diff.shifts().count(), 0);
     assert_eq!(diff.max_telescope_residual_s(), 0.0);
 
-    let ta = TraceAnalysis::from_events(&r.observability.events, 3);
-    let tdiff =
-        ArtifactDiff::from_json_strs(&ta.to_json(), &ta.to_json()).expect("trace self diff");
+    let ta = SpanGraphAnalysis::from_spans(&r.observability.spans).to_json();
+    let tdiff = ArtifactDiff::from_json_strs(&ta, &ta).expect("span self diff");
     assert_eq!(tdiff.max_abs_delta(), 0.0);
     assert_eq!(tdiff.max_telescope_residual_s(), 0.0);
     assert_eq!(tdiff.shifts().count(), 0);

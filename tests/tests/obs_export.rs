@@ -1,11 +1,11 @@
-//! Chrome-trace and flamegraph export against a real traced run: the JSON
-//! must parse and keep per-track timestamps monotone, and the collapsed
-//! stacks must reconcile exactly with the trace analyzer's per-segment
-//! decomposition.
+//! Chrome-trace and flamegraph export against a real span-traced run: the
+//! JSON must parse and keep per-track timestamps monotone, and the collapsed
+//! stacks must reconcile exactly with the span-graph analyzer's
+//! critical-path decomposition.
 
 use std::collections::HashMap;
 
-use fabricsim::obs::{chrome_trace, collapsed_stacks, reconstruct, Json, TraceAnalysis};
+use fabricsim::obs::{collapsed_stacks, span_flow_trace, Json, SpanGraphAnalysis};
 use fabricsim::{OrdererType, PolicySpec, SimConfig, Simulation};
 
 fn traced_run() -> fabricsim::RunResult {
@@ -19,14 +19,14 @@ fn traced_run() -> fabricsim::RunResult {
         cooldown_secs: 2.0,
         ..SimConfig::default()
     };
-    cfg.obs.trace_events = true;
+    cfg.obs.span_events = true;
     Simulation::new(cfg).run_detailed()
 }
 
 #[test]
 fn chrome_export_is_valid_trace_event_json_with_monotone_tracks() {
     let r = traced_run();
-    let doc = chrome_trace(&r.observability.events);
+    let doc = span_flow_trace(&r.observability.spans);
     let json = Json::parse(&doc).expect("chrome export must be valid JSON");
 
     let events = json
@@ -39,8 +39,12 @@ fn chrome_export_is_valid_trace_event_json_with_monotone_tracks() {
     // order with non-negative ts and dur — the invariant Perfetto needs.
     let mut last_ts: HashMap<(u64, u64), f64> = HashMap::new();
     let mut slices = 0usize;
+    let mut flows = 0usize;
     for ev in events {
         let phase = ev.get("ph").and_then(Json::as_str).expect("ph field");
+        if phase == "s" {
+            flows += 1;
+        }
         if phase != "X" {
             continue;
         }
@@ -58,51 +62,54 @@ fn chrome_export_is_valid_trace_event_json_with_monotone_tracks() {
         );
         *prev = ts;
     }
-    assert!(slices > 0, "no complete events in export");
-    // Both the transaction (pid 1) and station (pid 2) process groups exist.
-    assert!(last_ts.keys().any(|(pid, _)| *pid == 1));
-    assert!(last_ts.keys().any(|(pid, _)| *pid == 2));
+    assert_eq!(slices, r.observability.spans.len(), "one slice per span");
+    assert!(flows > 0, "parent edges become flow arrows");
+    // Client pools, peers and OSNs each get their own actor track.
+    assert!(last_ts.len() > 5 + 1, "expected per-actor tracks");
 }
 
 #[test]
 fn collapsed_stacks_reconcile_with_the_analyzer_decomposition() {
     let r = traced_run();
-    let events = &r.observability.events;
-    let spans = reconstruct(events);
-    let folded = collapsed_stacks(&spans);
-    let analysis = TraceAnalysis::from_events(events, 0);
-    assert!(analysis.committed > 0);
+    let analysis = SpanGraphAnalysis::from_spans(&r.observability.spans);
+    assert!(analysis.txs > 0);
+    let folded = collapsed_stacks(&analysis);
 
-    // Parse `fabricsim;<group>;<from→to> <ns>` lines.
+    // Parse `fabricsim;<group>;<segment label> <ns>` lines.
     let mut by_segment: HashMap<&str, f64> = HashMap::new();
     for line in folded.lines() {
         let (stack, ns) = line.rsplit_once(' ').expect("folded line");
-        let segment = stack.split(';').nth(2).expect("three frames");
+        let frames: Vec<&str> = stack.split(';').collect();
+        assert_eq!(frames.len(), 3, "{line}");
+        assert_eq!(frames[0], "fabricsim", "{line}");
+        assert!(
+            ["execute", "order", "validate"].contains(&frames[1]),
+            "{line}"
+        );
         let ns: f64 = ns.parse().expect("integer ns value");
-        by_segment.insert(segment, ns);
-        assert!(stack.starts_with("fabricsim;"), "{line}");
+        by_segment.insert(frames[2], ns);
     }
 
-    // Every analyzer segment's mean must be recoverable from the stack total
-    // (divide by committed count and 1e9) to 1e-6 s.
-    let n = analysis.committed as f64;
-    for seg in &analysis.segments {
-        let name = format!("{}→{}", seg.from.label(), seg.to.label());
+    // Every segment's per-tx share must be recoverable from the stack total
+    // (divide by txs and 1e9) to 1e-6 s.
+    let n = analysis.txs as f64;
+    assert_eq!(by_segment.len(), analysis.segment_share.len());
+    for (label, secs) in &analysis.segment_share {
         let ns = by_segment
-            .get(name.as_str())
-            .unwrap_or_else(|| panic!("segment {name} missing from folded output:\n{folded}"));
+            .get(label.as_str())
+            .unwrap_or_else(|| panic!("segment {label} missing from folded output:\n{folded}"));
         let mean_from_flame = ns / 1e9 / n;
         assert!(
-            (mean_from_flame - seg.mean_s).abs() < 1e-6,
-            "{name}: flame {mean_from_flame} vs analyzer {}",
-            seg.mean_s
+            (mean_from_flame - secs / n).abs() < 1e-6,
+            "{label}: flame {mean_from_flame} vs analyzer {}",
+            secs / n
         );
     }
-    // And the whole document tiles the end-to-end mean.
+    // And the whole document tiles the mean critical path (= e2e latency).
     let total_s: f64 = by_segment.values().sum::<f64>() / 1e9 / n;
     assert!(
-        (total_s - analysis.e2e.mean_s).abs() < 1e-6,
-        "stack totals {total_s} vs e2e mean {}",
-        analysis.e2e.mean_s
+        (total_s - analysis.mean_path_s).abs() < 1e-6,
+        "stack totals {total_s} vs mean path {}",
+        analysis.mean_path_s
     );
 }

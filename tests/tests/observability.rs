@@ -1,7 +1,7 @@
-//! End-to-end observability: structured traces, sampled time-series, and the
-//! bottleneck-attribution report, exercised through the full simulation.
+//! End-to-end observability: causal span traces, sampled time-series, and
+//! the bottleneck-attribution report, exercised through the full simulation.
 
-use fabricsim::obs::{parse_jsonl, TracePhase};
+use fabricsim::obs::{parse_spans_jsonl, SpanKind};
 use fabricsim::{OrdererType, PolicySpec, SimConfig, Simulation};
 
 fn obs_config(policy: PolicySpec, rate: f64) -> SimConfig {
@@ -15,24 +15,25 @@ fn obs_config(policy: PolicySpec, rate: f64) -> SimConfig {
         cooldown_secs: 2.0,
         ..SimConfig::default()
     };
-    cfg.obs.trace_events = true;
+    cfg.obs.span_events = true;
     cfg
 }
 
 #[test]
 fn tracing_is_off_by_default_and_does_not_change_results() {
     let mut base = obs_config(PolicySpec::OrN(10), 100.0);
-    base.obs.trace_events = false;
+    base.obs.span_events = false;
     base.obs.sample_period_s = 0.0;
     let untraced = Simulation::new(base.clone()).run_detailed();
-    assert!(untraced.observability.events.is_empty());
+    assert!(untraced.observability.spans.is_empty());
+    assert_eq!(untraced.observability.spans_jsonl(), "");
     assert!(untraced.observability.metrics.is_none());
 
     let mut traced_cfg = base;
-    traced_cfg.obs.trace_events = true;
+    traced_cfg.obs.span_events = true;
     traced_cfg.obs.sample_period_s = 1.0;
     let traced = Simulation::new(traced_cfg).run_detailed();
-    assert!(!traced.observability.events.is_empty());
+    assert!(!traced.observability.spans.is_empty());
 
     // Instrumentation must observe the run, never perturb it.
     assert_eq!(untraced.summary.created, traced.summary.created);
@@ -48,51 +49,52 @@ fn tracing_is_off_by_default_and_does_not_change_results() {
 }
 
 #[test]
-fn trace_events_round_trip_through_jsonl() {
+fn span_events_round_trip_through_jsonl() {
     let r = Simulation::new(obs_config(PolicySpec::OrN(10), 80.0)).run_detailed();
-    let events = &r.observability.events;
-    assert!(!events.is_empty());
+    let spans = &r.observability.spans;
+    assert!(!spans.is_empty());
 
-    let text = r.observability.events_jsonl();
-    let parsed = parse_jsonl(&text).expect("trace must be valid JSONL");
-    assert_eq!(&parsed, events, "parse(serialize(events)) must be lossless");
+    let text = r.observability.spans_jsonl();
+    let parsed = parse_spans_jsonl(&text).expect("spans must be valid JSONL");
+    assert_eq!(&parsed, spans, "parse(serialize(spans)) must be lossless");
 
-    // Events are emitted in virtual-time order.
-    for w in events.windows(2) {
-        assert!(w[0].t_s <= w[1].t_s, "events out of order: {w:?}");
+    // Spans are returned in virtual-time (start) order.
+    for w in spans.windows(2) {
+        assert!(w[0].t0_s <= w[1].t0_s, "spans out of order: {w:?}");
     }
 
-    // Every committed transaction crossed the full pipeline, in order.
-    let committed: Vec<&str> = events
+    // A committed transaction's spans cover the whole pipeline, in order.
+    let committed: Vec<&str> = spans
         .iter()
-        .filter(|e| e.phase == TracePhase::Committed)
-        .map(|e| e.tx.as_str())
+        .filter(|s| s.kind == SpanKind::Commit)
+        .map(|s| s.trace.as_str())
         .collect();
     assert!(!committed.is_empty());
-    let chain = [
-        TracePhase::Created,
-        TracePhase::ProposalSent,
-        TracePhase::Endorsed,
-        TracePhase::Submitted,
-        TracePhase::Ordered,
-        TracePhase::Delivered,
-        TracePhase::VsccDone,
-        TracePhase::Committed,
-    ];
     let tx = committed[committed.len() / 2];
-    let mine: Vec<TracePhase> = events
-        .iter()
-        .filter(|e| e.tx == tx)
-        .map(|e| e.phase)
-        .collect();
-    let mut want = chain.iter();
-    let mut next = want.next();
-    for p in &mine {
-        if Some(p) == next {
-            next = want.next();
-        }
-    }
-    assert!(next.is_none(), "tx {tx} missing phases; saw {mine:?}");
+    let start_of = |kind: SpanKind| {
+        spans
+            .iter()
+            .filter(|s| s.trace == tx && s.kind == kind)
+            .map(|s| s.t0_s)
+            .fold(f64::NAN, f64::min)
+    };
+    let chain = [
+        SpanKind::ClientPrep,
+        SpanKind::Endorse,
+        SpanKind::Assemble,
+        SpanKind::OsnBroadcast,
+        SpanKind::Vscc,
+        SpanKind::Commit,
+    ];
+    let starts: Vec<f64> = chain.iter().map(|&k| start_of(k)).collect();
+    assert!(
+        starts.iter().all(|t| t.is_finite()),
+        "tx {tx} missing spans: {chain:?} start at {starts:?}"
+    );
+    assert!(
+        starts.windows(2).all(|w| w[0] <= w[1]),
+        "tx {tx} spans out of pipeline order: {starts:?}"
+    );
 }
 
 #[test]
