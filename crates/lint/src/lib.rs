@@ -3,13 +3,13 @@
 //!
 //! The paper reproduction's whole measurement story rests on the simulator
 //! being deterministic *by construction*: identical seeds must give
-//! bit-identical reports, or the perf gate (`BENCH_fabricsim.json`) and the
-//! pooled-VSCC golden tests measure noise instead of code. Nothing in the
-//! compiler enforces that, so this crate does: a comment/string/char-aware
-//! tokenizer ([`tokenizer`]) feeds a rule engine ([`rules`], [`engine`])
-//! that walks every workspace source file and reports typed diagnostics
-//! (`file:line:col`, rule id, message, suggestion) in human or `--json`
-//! form.
+//! bit-identical reports, or the benchmark's simulated-result guards
+//! (`perfbench/`) and the pooled-VSCC golden tests measure noise instead of
+//! code. Nothing in the compiler enforces that, so this crate does: a
+//! comment/string/char-aware tokenizer ([`tokenizer`]) feeds a rule engine
+//! ([`rules`], [`engine`]) that walks every workspace source file and
+//! reports typed diagnostics (`file:line:col`, rule id, message, suggestion)
+//! in human or `--json` form.
 //!
 //! The rule catalogue ([`RuleId`]) bans wall-clock reads, hash-order
 //! iteration, float equality, library `unwrap()`, `thread::sleep`, missing

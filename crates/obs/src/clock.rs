@@ -4,7 +4,7 @@
 //! world may read the host clock, and `fabricsim-lint`'s `no-wall-clock`
 //! rule enforces that mechanically. The handful of legitimate wall-clock
 //! consumers — the `/healthz` uptime counter, the `experiments` stderr
-//! progress lines, the bench harness's calibration timing — all go through
+//! progress lines, the `microbench` batch timing — all go through
 //! [`WallClock`]. The only other audited `lint:allow` sites for the rule
 //! are the DES kernel's self-profiler (`crates/des/src/kernel.rs`), which
 //! needs sub-microsecond per-handler timing that an elapsed-seconds

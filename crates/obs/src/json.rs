@@ -2,8 +2,8 @@
 //! run-provenance header every JSONL artifact opens with.
 //!
 //! The repo is zero-dependency by policy, so every artifact the stack emits
-//! (bench baselines, `analyze --json` documents, span and health JSONL
-//! lines) is read back through this small general (nested) JSON parser.
+//! (run summaries, `analyze --json` and `profile --json` documents, span and
+//! health JSONL lines) is read back through this small general (nested) JSON parser.
 
 use std::collections::BTreeMap;
 

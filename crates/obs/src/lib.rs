@@ -27,11 +27,11 @@
 //!   the dominant queue per window, turning the paper's Finding 3 ("validate
 //!   is the bottleneck") into a computed artifact.
 //! * [`Json`] — the crate's one JSON reader: a minimal recursive parser so
-//!   every artifact (bench baselines, analyses, span and health JSONL) can
-//!   be parsed back without external dependencies.
+//!   every artifact (run summaries, analyses, profiles, span and health
+//!   JSONL) can be parsed back without external dependencies.
 //! * [`ArtifactDiff`] — differential analysis: pairwise comparison of any
 //!   two artifacts the stack emits (run summaries, span-graph analyses,
-//!   kernel profiles, bench reports, health timelines) with metrics ranked by
+//!   kernel profiles, health timelines) with metrics ranked by
 //!   `|delta|`, dominance [`Shift`] detection ("the bottleneck moved out of
 //!   VSCC"), per-segment deltas that telescope to the end-to-end latency
 //!   delta, and [`RunProvenance`] (`seed` + `config_digest`) verification so

@@ -92,6 +92,17 @@ impl<'a> Reader<'a> {
         // lint:allow(no-unwrap-in-lib) -- take(8) returns exactly 8 bytes
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
+    /// An element count. Every element encodes to at least one byte, so a
+    /// count beyond the bytes left is malformed; rejecting it here keeps a
+    /// crafted count from sizing an allocation.
+    fn count(&mut self) -> Result<usize, DecodeError> {
+        let n = self.u32()? as usize;
+        let left = self.buf.len() - self.pos;
+        if n > left {
+            return Err(DecodeError(format!("count {n} exceeds {left} bytes left")));
+        }
+        Ok(n)
+    }
     fn bytes(&mut self) -> Result<Vec<u8>, DecodeError> {
         let n = self.u32()? as usize;
         if n > self.buf.len() {
@@ -146,7 +157,7 @@ fn write_rwset(w: &mut Writer, rw: &RwSet) {
 
 fn read_rwset(r: &mut Reader<'_>) -> Result<RwSet, DecodeError> {
     let mut rw = RwSet::new();
-    let n_reads = r.u32()?;
+    let n_reads = r.count()?;
     for _ in 0..n_reads {
         let key = r.str()?;
         let version = match r.u8()? {
@@ -156,7 +167,7 @@ fn read_rwset(r: &mut Reader<'_>) -> Result<RwSet, DecodeError> {
         };
         rw.reads.push(KvRead { key, version });
     }
-    let n_writes = r.u32()?;
+    let n_writes = r.count()?;
     for _ in 0..n_writes {
         let key = r.str()?;
         let value = match r.u8()? {
@@ -193,8 +204,8 @@ fn read_tx(r: &mut Reader<'_>) -> Result<Transaction, DecodeError> {
     let chaincode = r.str()?;
     let rw_set = read_rwset(r)?;
     let payload = r.bytes()?;
-    let n_endorsements = r.u32()?;
-    let mut endorsements = Vec::with_capacity(n_endorsements as usize);
+    let n_endorsements = r.count()?;
+    let mut endorsements = Vec::with_capacity(n_endorsements);
     for _ in 0..n_endorsements {
         let principal_text = r.str()?;
         let endorser = Principal::parse(&principal_text)
@@ -299,13 +310,13 @@ pub fn decode_block(bytes: &[u8]) -> Result<Block, DecodeError> {
     let number = r.u64()?;
     let previous_hash = r.hash()?;
     let data_hash = r.hash()?;
-    let n_txs = r.u32()?;
-    let mut transactions = Vec::with_capacity(n_txs as usize);
+    let n_txs = r.count()?;
+    let mut transactions = Vec::with_capacity(n_txs);
     for _ in 0..n_txs {
         transactions.push(read_tx(&mut r)?);
     }
-    let n_flags = r.u32()?;
-    let mut flags = Vec::with_capacity(n_flags as usize);
+    let n_flags = r.count()?;
+    let mut flags = Vec::with_capacity(n_flags);
     for _ in 0..n_flags {
         flags.push(code_from_u8(r.u8()?)?);
     }
@@ -409,6 +420,45 @@ mod tests {
         corrupted[idx] ^= 0xFF;
         if let Ok(t) = decode_tx(&corrupted) {
             assert_ne!(t, tx)
+        }
+    }
+
+    #[test]
+    fn oversized_counts_are_rejected_before_allocating() {
+        // Each fixture ends in a `u32::MAX` element count with no bytes left
+        // behind it; sizing a `Vec` from that count would abort the process.
+        let block_header = |w: &mut Writer| {
+            w.str("");
+            w.u64(0);
+            w.hash(&Hash256::from_bytes([0; 32]));
+            w.hash(&Hash256::from_bytes([0; 32]));
+        };
+        let mut txs = Writer::new();
+        block_header(&mut txs);
+        txs.u32(u32::MAX);
+        let mut flags = Writer::new();
+        block_header(&mut flags);
+        flags.u32(0);
+        flags.u32(u32::MAX);
+        let mut endorsements = Writer::new();
+        endorsements.hash(&Hash256::from_bytes([0; 32]));
+        endorsements.str("");
+        endorsements.str("");
+        write_rwset(&mut endorsements, &RwSet::new());
+        endorsements.bytes(&[]);
+        endorsements.u32(u32::MAX);
+        type Decode = fn(&[u8]) -> Result<(), DecodeError>;
+        let block: Decode = |b| decode_block(b).map(drop);
+        let tx: Decode = |b| decode_tx(b).map(drop);
+        for (name, decode, bytes) in [
+            ("txs", block, txs.buf),
+            ("flags", block, flags.buf),
+            ("endorsements", tx, endorsements.buf),
+        ] {
+            match decode(&bytes) {
+                Err(DecodeError(msg)) => assert!(msg.contains("count"), "{name}: {msg}"),
+                Ok(()) => panic!("{name}: oversized count decoded"),
+            }
         }
     }
 
